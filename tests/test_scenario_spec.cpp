@@ -10,10 +10,14 @@
 //      this is the bench-vs-driver byte-identity claim, in-process;
 //   3. results are independent of --jobs (1 vs 4 on a scenario file).
 //
-// Plus: file-path round-trip via write_scenario_file/load_scenario_file,
-// and validation diagnostics naming the offending key and source line.
+// Plus: every committed scenario file is an export fixpoint and equals its
+// builtin's export, omitted keys take pinned defaults, file-path round-trip
+// via write_scenario_file/load_scenario_file, and validation diagnostics
+// naming the offending key and source line.
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -55,6 +59,14 @@ run_output run_captured(const scenario_spec& spec, int jobs)
 }
 
 const char* k_builtins[] = {"fig09", "fig16", "ecn_impairment", "fault_chaos"};
+
+std::string read_fixture(const std::string& rel)
+{
+    std::string text;
+    EXPECT_TRUE(stats::read_text_file(std::string(L4SPAN_SOURCE_ROOT) + "/" + rel, text))
+        << rel;
+    return text;
+}
 
 }  // namespace
 
@@ -187,4 +199,176 @@ TEST(scenario_spec, unknown_family_lists_valid_ones)
 TEST(scenario_spec, builtin_unknown_name_throws)
 {
     EXPECT_THROW(builtin_scenario("fig99", false), scenario_error);
+}
+
+// Every committed scenario file is in export form already: loading and
+// re-exporting it reproduces the file's bytes.
+TEST(scenario_spec, committed_scenario_files_are_export_fixpoints)
+{
+    std::vector<std::string> files{"bench/perf/workloads/fig09_grid.json"};
+    for (const auto& e : std::filesystem::directory_iterator(
+             std::string(L4SPAN_SOURCE_ROOT) + "/examples/scenarios"))
+        files.push_back("examples/scenarios/" + e.path().filename().string());
+    ASSERT_GE(files.size(), 6u);
+    for (const auto& f : files) {
+        SCOPED_TRACE(f);
+        const std::string text = read_fixture(f);
+        EXPECT_EQ(export_scenario(parse_scenario_text(text, f)).dump(), text);
+    }
+}
+
+TEST(scenario_spec, builtin_exports_match_committed_files)
+{
+    struct pin {
+        const char* name;
+        bool quick;
+        const char* file;
+    };
+    const pin pins[] = {
+        {"fig09", true, "examples/scenarios/fig09_quick.json"},
+        {"fig16", false, "examples/scenarios/fig16.json"},
+        {"ecn_impairment", false, "examples/scenarios/ecn_impairment.json"},
+        {"fault_chaos", true, "examples/scenarios/fault_chaos_quick.json"},
+        {"fig09", false, "bench/perf/workloads/fig09_grid.json"},
+    };
+    for (const auto& p : pins) {
+        SCOPED_TRACE(p.file);
+        EXPECT_EQ(export_scenario(builtin_scenario(p.name, p.quick)).dump(),
+                  read_fixture(p.file));
+    }
+}
+
+// A document holding only the required keys exports to these goldens. A
+// round trip cannot catch a drifted default (export writes every key);
+// this does, including the derived ones (strategy label <- policy,
+// transport label <- cca, profile name <- "profile<i>").
+TEST(scenario_spec, omitted_keys_take_pinned_defaults)
+{
+    struct golden {
+        const char* doc;  // body after the schema key
+        const char* exported;
+    };
+    const golden goldens[] = {
+        {R"("duration_s": 1, "family": "tcp_grid",)"
+         R"( "tcp_grid": {"rtts_ms": [0], "queues_sdus": [1],)"
+         R"( "ue_counts": [1], "ccas": ["prague"],)"
+         R"( "channels": ["static"]}})",
+         R"({"schema":"l4span-scenario-v1","figure":"scenario",)"
+         R"("title":"scenario","paper_ref":"custom scenario","quick":false,)"
+         R"("duration_s":1,"family":"tcp_grid","tcp_grid":{"seed_base":1000,)"
+         R"("rtts_ms":[0],"queues_sdus":[1],"ue_counts":[1],)"
+         R"("ccas":["prague"],"channels":["static"]}})"},
+        {R"("duration_s": 1, "family": "shared_drb",)"
+         R"( "shared_drb": {"strategies": [{}, {"policy": "l4s_all"}]}})",
+         R"({"schema":"l4span-scenario-v1","figure":"scenario",)"
+         R"("title":"scenario","paper_ref":"custom scenario","quick":false,)"
+         R"("duration_s":1,"family":"shared_drb","shared_drb":{"seed":71,)"
+         R"("strategies":[{"label":"coupled","policy":"coupled"},)"
+         R"({"label":"l4s_all","policy":"l4s_all"}]}})"},
+        {R"("duration_s": 1, "family": "ecn_impairment",)"
+         R"( "ecn_impairment": {"cross_options": [true], "ccas": [{},)"
+         R"( {"cca": "cubic"}], "profiles": [{},)"
+         R"( {"impair": {"flow_policies": [{}]}}]}})",
+         R"({"schema":"l4span-scenario-v1","figure":"scenario",)"
+         R"("title":"scenario","paper_ref":"custom scenario","quick":false,)"
+         R"("duration_s":1,"family":"ecn_impairment",)"
+         R"("ecn_impairment":{"seed":71,"ues":4,"bottleneck_bps":80000000,)"
+         R"("bottleneck_aqm":"dualpi2","cross_rate_bps":30000000,)"
+         R"("cross_options":[true],"ccas":[{"cca":"prague",)"
+         R"("label":"prague"},{"cca":"cubic","label":"cubic"}],)"
+         R"("profiles":[{"name":"profile0","drop_non_ecn":false,)"
+         R"("impair":{"remark_ect1":0,"bleach_ce":0,"strip_ect":0,"loss":0,)"
+         R"("loss_burst":1,"reorder":0,"reorder_gap":3,)"
+         R"("reorder_hold_max_ms":20,"duplicate":0,"force_stage":false,)"
+         R"("flow_policies":[]}},{"name":"profile1","drop_non_ecn":false,)"
+         R"("impair":{"remark_ect1":0,"bleach_ce":0,"strip_ect":0,"loss":0,)"
+         R"("loss_burst":1,"reorder":0,"reorder_gap":3,)"
+         R"("reorder_hold_max_ms":20,"duplicate":0,"force_stage":false,)"
+         R"("flow_policies":[{"remark_ect1":0,"bleach_ce":0,"strip_ect":0,)"
+         R"("loss":0,"loss_burst":1,"reorder":0,"reorder_gap":3,)"
+         R"("reorder_hold_max_ms":20,"duplicate":0,)"
+         R"("force_stage":false}]}}]}})"},
+        {R"("duration_s": 2, "family": "fault_chaos",)"
+         R"( "fault_chaos": {"profiles": [{}], "transports": [{}]}})",
+         R"({"schema":"l4span-scenario-v1","figure":"scenario",)"
+         R"("title":"scenario","paper_ref":"custom scenario","quick":false,)"
+         R"("duration_s":2,"family":"fault_chaos",)"
+         R"("fault_chaos":{"num_cells":3,"ues_per_cell":3,"cell_seed":41,)"
+         R"("wired_bps":100000000,"fault_seed":23,"fault_start_ms":800,)"
+         R"("fault_end_margin_ms":500,"profiles":[{"name":"profile0",)"
+         R"("rlf_per_ue_per_sec":0,"ho_failure_per_ue_per_sec":0,)"
+         R"("outages_per_cell_per_sec":0,"flaps_per_cell_per_sec":0}],)"
+         R"("transports":[{"cca":"prague","media":false}]}})"},
+        {R"("duration_s": 1, "family": "cell_flows",)"
+         R"( "cell_flows": {"seeds": [1], "flows": [{}]}})",
+         R"({"schema":"l4span-scenario-v1","figure":"scenario",)"
+         R"("title":"scenario","paper_ref":"custom scenario","quick":false,)"
+         R"("duration_s":1,"family":"cell_flows","cell_flows":{"seeds":[1],)"
+         R"("cell":{"num_ues":1,"channel":"static","rlc_queue_sdus":16384,)"
+         R"("cu":"l4span","seed":1,"separate_drbs_per_class":false,)"
+         R"("bottleneck_bps":0,"bottleneck_aqm":"fifo",)"
+         R"("wred":{"l4s":{"min_bytes":12112,"max_bytes":96896,"max_p":1},)"
+         R"("classic":{"min_bytes":48448,"max_bytes":387584,"max_p":0.1},)"
+         R"("ecn_drop_bytes":2097152,"l4s_weight":4,"max_bytes":16777216},)"
+         R"("ul_bottleneck_bps":0,"l4s":{"sojourn_threshold_ms":10,)"
+         R"("coherence_time_ms":24.9,"short_circuit":true,)"
+         R"("drop_non_ecn":false,"error_aware":true,"classic_beta":0.5,)"
+         R"("mss":1400,"shared_policy":"coupled","prune_horizon_ms":1000},)"
+         R"("impair_dl":{"remark_ect1":0,"bleach_ce":0,"strip_ect":0,)"
+         R"("loss":0,"loss_burst":1,"reorder":0,"reorder_gap":3,)"
+         R"("reorder_hold_max_ms":20,"duplicate":0,"force_stage":false,)"
+         R"("flow_policies":[]},"impair_ul":{"remark_ect1":0,"bleach_ce":0,)"
+         R"("strip_ect":0,"loss":0,"loss_burst":1,"reorder":0,)"
+         R"("reorder_gap":3,"reorder_hold_max_ms":20,"duplicate":0,)"
+         R"("force_stage":false,"flow_policies":[]},"cross_traffic":[]},)"
+         R"("flows":[{"cca":"prague","ue":0,"count":1,"start_ms":0,)"
+         R"("stop_ms":-1,"flow_bytes":0,"wired_owd_ms":19,"mss":1400,)"
+         R"("max_cwnd":4194304,"media_max_bps":38000000,)"
+         R"("media_start_bps":1000000,"fps":0,"frame_bitrate_bps":8000000,)"
+         R"("keyframe_interval_s":2,"keyframe_scale":4,)"
+         R"("frame_deadline_ms":50}]}})"},
+        {R"("duration_s": 2, "family": "cell_flows",)"
+         R"( "cell_flows": {"seeds": [1],)"
+         R"( "cell": {"wred": {"l4s": {"max_bytes": 1},)"
+         R"( "classic": {"max_bytes": 1}}, "l4s": {}, "impair_dl": {},)"
+         R"( "impair_ul": {"flow_policies": [{}]},)"
+         R"( "cross_traffic": [{"rate_bps": 1}]}, "flows": [{}]}})",
+         R"({"schema":"l4span-scenario-v1","figure":"scenario",)"
+         R"("title":"scenario","paper_ref":"custom scenario","quick":false,)"
+         R"("duration_s":2,"family":"cell_flows","cell_flows":{"seeds":[1],)"
+         R"("cell":{"num_ues":1,"channel":"static","rlc_queue_sdus":16384,)"
+         R"("cu":"l4span","seed":1,"separate_drbs_per_class":false,)"
+         R"("bottleneck_bps":0,"bottleneck_aqm":"fifo",)"
+         R"("wred":{"l4s":{"min_bytes":0,"max_bytes":1,"max_p":1},)"
+         R"("classic":{"min_bytes":0,"max_bytes":1,"max_p":1},)"
+         R"("ecn_drop_bytes":2097152,"l4s_weight":4,"max_bytes":16777216},)"
+         R"("ul_bottleneck_bps":0,"l4s":{"sojourn_threshold_ms":10,)"
+         R"("coherence_time_ms":24.9,"short_circuit":true,)"
+         R"("drop_non_ecn":false,"error_aware":true,"classic_beta":0.5,)"
+         R"("mss":1400,"shared_policy":"coupled","prune_horizon_ms":1000},)"
+         R"("impair_dl":{"remark_ect1":0,"bleach_ce":0,"strip_ect":0,)"
+         R"("loss":0,"loss_burst":1,"reorder":0,"reorder_gap":3,)"
+         R"("reorder_hold_max_ms":20,"duplicate":0,"force_stage":false,)"
+         R"("flow_policies":[]},"impair_ul":{"remark_ect1":0,"bleach_ce":0,)"
+         R"("strip_ect":0,"loss":0,"loss_burst":1,"reorder":0,)"
+         R"("reorder_gap":3,"reorder_hold_max_ms":20,"duplicate":0,)"
+         R"("force_stage":false,"flow_policies":[{"remark_ect1":0,)"
+         R"("bleach_ce":0,"strip_ect":0,"loss":0,"loss_burst":1,"reorder":0,)"
+         R"("reorder_gap":3,"reorder_hold_max_ms":20,"duplicate":0,)"
+         R"("force_stage":false}]},"cross_traffic":[{"model":"poisson",)"
+         R"("rate_bps":1,"pkt_bytes":1200,"ecn":"not_ect","start_ms":0,)"
+         R"("stop_ms":-1,"uplink":false}]},"flows":[{"cca":"prague","ue":0,)"
+         R"("count":1,"start_ms":0,"stop_ms":-1,"flow_bytes":0,)"
+         R"("wired_owd_ms":19,"mss":1400,"max_cwnd":4194304,)"
+         R"("media_max_bps":38000000,"media_start_bps":1000000,"fps":0,)"
+         R"("frame_bitrate_bps":8000000,"keyframe_interval_s":2,)"
+         R"("keyframe_scale":4,"frame_deadline_ms":50}]}})"},
+    };
+    for (const auto& g : goldens) {
+        const std::string doc =
+            std::string(R"({"schema": "l4span-scenario-v1", )") + g.doc;
+        SCOPED_TRACE(doc);
+        EXPECT_EQ(export_scenario(parse_scenario_text(doc, "<minimal>")).dump_compact(),
+                  g.exported);
+    }
 }
