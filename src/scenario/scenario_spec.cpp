@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace l4span::scenario {
@@ -12,19 +15,7 @@ namespace {
 
 // Largest integer a double (and therefore a JSON number) carries exactly.
 constexpr double k_max_exact = 9007199254740992.0;  // 2^53
-
-// Time fields travel as milliseconds/seconds; conversion rounds to the
-// nearest tick (nanosecond). Round-to-nearest — unlike from_ms's
-// truncation — makes tick -> decimal -> tick the identity for every tick
-// below 2^51 ns, which is what keeps export -> parse -> export exact.
-sim::tick ms_to_tick(double ms)
-{
-    return static_cast<sim::tick>(std::llround(ms * sim::k_millisecond));
-}
-sim::tick sec_to_tick(double s)
-{
-    return static_cast<sim::tick>(std::llround(s * sim::k_second));
-}
+constexpr double k_inf = std::numeric_limits<double>::infinity();
 
 [[noreturn]] void fail(const std::string& origin, int line, const std::string& msg)
 {
@@ -33,816 +24,588 @@ sim::tick sec_to_tick(double s)
     throw scenario_error(out);
 }
 
-// One object node being bound to a struct: typed, range-checked accessors
-// that mark the keys they consume, plus a final unknown-key sweep. Every
-// error names the full key path and the node's source line.
-class binder {
-public:
-    binder(const std::string& origin, const stats::json& node, std::string path)
-        : origin_(origin), node_(node), path_(std::move(path))
-    {
-        if (!node_.is_object())
-            fail(origin_, node_.line(), "\"" + path_ + "\" must be an object");
-    }
+// The object node being bound: every diagnostic names the origin, the full
+// key path and a 1-based source line.
+struct site {
+    const std::string& origin;
+    std::string path;  // "$" for the document, "cell_flows.cell", ...
+    int line;
 
-    const std::string& origin() const { return origin_; }
-    const std::string& path() const { return path_; }
-    int line() const { return node_.line(); }
-
-    // Returns the member or nullptr, remembering `key` as known.
-    const stats::json* opt(const char* key)
-    {
-        known_.push_back(key);
-        return node_.find(key);
-    }
-
-    bool bool_or(const char* key, bool def)
-    {
-        const stats::json* v = opt(key);
-        if (!v) return def;
-        if (!v->is_bool()) fail_key(key, *v, "must be true or false");
-        return v->as_bool();
-    }
-
-    double num_or(const char* key, double def,
-                  double lo = -std::numeric_limits<double>::infinity(),
-                  double hi = std::numeric_limits<double>::infinity())
-    {
-        const stats::json* v = opt(key);
-        if (!v) return def;
-        return check_range(key, *v, lo, hi);
-    }
-
-    // Integer-valued number in [lo, hi].
-    long long int_or(const char* key, long long def, long long lo, long long hi)
-    {
-        const stats::json* v = opt(key);
-        if (!v) return def;
-        const double d = check_range(key, *v, static_cast<double>(lo),
-                                     static_cast<double>(hi));
-        if (d != std::floor(d))
-            fail_key(key, *v, "must be an integer, got " + std::to_string(d));
-        return static_cast<long long>(d);
-    }
-
-    std::uint64_t u64_or(const char* key, std::uint64_t def)
-    {
-        const stats::json* v = opt(key);
-        if (!v) return def;
-        const double d = check_range(key, *v, 0.0, k_max_exact);
-        if (d != std::floor(d)) fail_key(key, *v, "must be a non-negative integer");
-        return static_cast<std::uint64_t>(d);
-    }
-
-    std::string str_or(const char* key, std::string def)
-    {
-        const stats::json* v = opt(key);
-        if (!v) return def;
-        if (!v->is_string()) fail_key(key, *v, "must be a string");
-        return v->as_string();
-    }
-
-    // Required array member.
-    const stats::json& array(const char* key)
-    {
-        const stats::json* v = opt(key);
-        if (!v)
-            fail(origin_, node_.line(),
-                 "missing required key \"" + path_ + "." + key + "\"");
-        if (!v->is_array()) fail_key(key, *v, "must be an array");
-        if (v->elements().empty()) fail_key(key, *v, "must not be empty");
-        return *v;
-    }
-
-    // Optional object member; nullptr when absent.
-    const stats::json* object(const char* key)
-    {
-        const stats::json* v = opt(key);
-        if (!v) return nullptr;
-        if (!v->is_object()) fail_key(key, *v, "must be an object");
-        return v;
-    }
-
-    [[noreturn]] void fail_key(const char* key, const stats::json& v,
-                               const std::string& msg)
-    {
-        fail(origin_, v.line() > 0 ? v.line() : node_.line(),
-             "key \"" + path_ + "." + key + "\" " + msg);
-    }
-
-    // Unknown-key sweep: every accessor above registered its key, so by now
-    // `known_` is the complete schema of this object and anything else is a
-    // typo worth naming (with the valid keys, so the fix is one glance).
-    void done()
-    {
-        for (const auto& [key, value] : node_.members()) {
-            bool ok = false;
-            for (const char* k : known_)
-                if (key == k) { ok = true; break; }
-            if (ok) continue;
-            std::string valid;
-            for (const char* k : known_)
-                valid += (valid.empty() ? "" : ", ") + std::string(k);
-            fail(origin_, value.line() > 0 ? value.line() : node_.line(),
-                 "unknown key \"" + path_ + "." + key + "\" (valid: " + valid + ")");
-        }
-    }
-
-private:
-    double check_range(const char* key, const stats::json& v, double lo, double hi)
-    {
-        if (!v.is_number()) fail_key(key, v, "must be a number");
-        const double d = v.as_number();
-        if (d < lo || d > hi)
-            fail_key(key, v,
-                     "must be in [" + std::to_string(lo) + ", " +
-                         std::to_string(hi) + "], got " + std::to_string(d));
-        return d;
-    }
-
-    const std::string& origin_;
-    const stats::json& node_;
-    std::string path_;
-    std::vector<const char*> known_;
+    std::string key_path(const std::string& key) const { return path + "." + key; }
 };
 
-std::string elem_path(const std::string& base, const char* key, std::size_t i)
+[[noreturn]] void fail_key(const site& at, const std::string& key,
+                           const stats::json& v, const std::string& msg)
 {
-    return base + "." + key + "[" + std::to_string(i) + "]";
+    fail(at.origin, v.line() > 0 ? v.line() : at.line,
+         "key \"" + at.key_path(key) + "\" " + msg);
 }
 
-// --- small enum <-> name tables ---------------------------------------------
+// Enum <-> schema name list (string sets map each name to itself). One list
+// drives parsing, export and the "(valid: ...)" text.
+template <class E>
+struct name_list {
+    const char* what;  // names the list in diagnostics ("CU mode", ...)
+    std::vector<std::pair<E, std::string>> entries;
 
-std::string cu_mode_name(cu_mode m)
-{
-    switch (m) {
-        case cu_mode::none: return "none";
-        case cu_mode::l4span: return "l4span";
-        case cu_mode::dualpi2_ran: return "dualpi2_ran";
-        case cu_mode::tcran: return "tcran";
+    const E* find(const std::string& name) const
+    {
+        for (const auto& [value, n] : entries)
+            if (n == name) return &value;
+        return nullptr;
     }
-    return "l4span";
-}
-
-cu_mode cu_mode_by_name(binder& b, const char* key, const std::string& name)
-{
-    if (name == "none") return cu_mode::none;
-    if (name == "l4span") return cu_mode::l4span;
-    if (name == "dualpi2_ran") return cu_mode::dualpi2_ran;
-    if (name == "tcran") return cu_mode::tcran;
-    fail(b.origin(), b.line(),
-         "key \"" + b.path() + "." + key + "\": unknown CU mode \"" + name +
-             "\" (valid: none, l4span, dualpi2_ran, tcran)");
-}
-
-std::string ecn_name(net::ecn e)
-{
-    switch (e) {
-        case net::ecn::not_ect: return "not_ect";
-        case net::ecn::ect0: return "ect0";
-        case net::ecn::ect1: return "ect1";
-        case net::ecn::ce: return "ce";
+    std::string name_of(const E& value) const
+    {
+        for (const auto& [v, n] : entries)
+            if (v == value) return n;
+        if constexpr (std::is_same_v<E, std::string>) return value;  // any string exports
+        else return {};
     }
-    return "not_ect";
-}
-
-net::ecn ecn_by_name(binder& b, const char* key, const std::string& name)
-{
-    if (name == "not_ect") return net::ecn::not_ect;
-    if (name == "ect0") return net::ecn::ect0;
-    if (name == "ect1") return net::ecn::ect1;
-    if (name == "ce") return net::ecn::ce;
-    fail(b.origin(), b.line(),
-         "key \"" + b.path() + "." + key + "\": unknown ECN codepoint \"" + name +
-             "\" (valid: not_ect, ect0, ect1, ce)");
-}
-
-// --- sub-spec parsers (parse_x) and exporters (json_of_x) -------------------
-// Every exporter writes every key, always, in one fixed order; every parser
-// accepts exactly those keys. That pairing is what makes export -> parse ->
-// export the byte identity.
-
-topo::impairment_spec parse_impairment(const std::string& origin,
-                                       const stats::json& node,
-                                       const std::string& path, bool top_level)
-{
-    binder b(origin, node, path);
-    topo::impairment_spec s;
-    s.remark_ect1 = b.num_or("remark_ect1", 0.0, 0.0, 1.0);
-    s.bleach_ce = b.num_or("bleach_ce", 0.0, 0.0, 1.0);
-    s.strip_ect = b.num_or("strip_ect", 0.0, 0.0, 1.0);
-    s.loss = b.num_or("loss", 0.0, 0.0, 1.0);
-    s.loss_burst = b.num_or("loss_burst", 1.0, 1.0, 1e6);
-    s.reorder = b.num_or("reorder", 0.0, 0.0, 1.0);
-    s.reorder_gap = static_cast<int>(b.int_or("reorder_gap", 3, 1, 1 << 20));
-    s.reorder_hold_max = ms_to_tick(b.num_or("reorder_hold_max_ms", 20.0, 0.0, 60e3));
-    s.duplicate = b.num_or("duplicate", 0.0, 0.0, 1.0);
-    s.force_stage = b.bool_or("force_stage", false);
-    if (const stats::json* fp = b.opt("flow_policies")) {
-        if (!fp->is_array())
-            b.fail_key("flow_policies", *fp, "must be an array");
-        if (!top_level)
-            b.fail_key("flow_policies", *fp,
-                       "may not nest (per-flow policies are one level deep)");
-        for (std::size_t i = 0; i < fp->elements().size(); ++i)
-            s.flow_policies.push_back(
-                parse_impairment(origin, fp->elements()[i],
-                                 elem_path(path, "flow_policies", i), false));
+    std::string valid() const
+    {
+        std::string out;
+        for (const auto& e : entries) out += (out.empty() ? "" : ", ") + e.second;
+        return out;
     }
-    b.done();
-    return s;
+};
+
+name_list<std::string> string_set(const char* what, std::vector<std::string> names)
+{
+    name_list<std::string> l{what, {}};
+    for (auto& n : names) l.entries.emplace_back(n, n);
+    return l;
 }
 
-stats::json json_of_impairment(const topo::impairment_spec& s, bool top_level)
-{
-    auto j = stats::json::object();
-    j.set("remark_ect1", s.remark_ect1)
-        .set("bleach_ce", s.bleach_ce)
-        .set("strip_ect", s.strip_ect)
-        .set("loss", s.loss)
-        .set("loss_burst", s.loss_burst)
-        .set("reorder", s.reorder)
-        .set("reorder_gap", s.reorder_gap)
-        .set("reorder_hold_max_ms", sim::to_ms(s.reorder_hold_max))
-        .set("duplicate", s.duplicate)
-        .set("force_stage", s.force_stage);
-    if (top_level) {
-        auto fp = stats::json::array();
-        for (const auto& p : s.flow_policies)
-            fp.push(json_of_impairment(p, false));
-        j.set("flow_policies", std::move(fp));
+const name_list<cu_mode> k_cu_modes{"CU mode",
+                                    {{cu_mode::none, "none"},
+                                     {cu_mode::l4span, "l4span"},
+                                     {cu_mode::dualpi2_ran, "dualpi2_ran"},
+                                     {cu_mode::tcran, "tcran"}}};
+const name_list<net::ecn> k_ecns{"ECN codepoint",
+                                 {{net::ecn::not_ect, "not_ect"},
+                                  {net::ecn::ect0, "ect0"},
+                                  {net::ecn::ect1, "ect1"},
+                                  {net::ecn::ce, "ce"}}};
+const name_list<core::shared_drb_policy> k_policies{
+    "shared-DRB policy",
+    {{core::shared_drb_policy::original, "original"},
+     {core::shared_drb_policy::l4s_all, "l4s_all"},
+     {core::shared_drb_policy::classic_all, "classic_all"},
+     {core::shared_drb_policy::coupled, "coupled"}}};
+const auto k_aqms = string_set("AQM", {"fifo", "dualpi2", "wred"});
+const auto k_models = string_set("model", {"poisson", "cbr"});
+const auto k_channels =
+    string_set("channel", {"static", "pedestrian", "vehicular", "mobile"});
+const auto k_families = string_set(
+    "family", {"tcp_grid", "shared_drb", "ecn_impairment", "fault_chaos", "cell_flows"});
+
+// --- field descriptors --------------------------------------------------------
+// One row per schema key: the key, how it binds to its member (unit
+// conversion, range, enum names, nested table) and how it exports. Parse
+// and export walk the same rows in the same order, which is what makes
+// export -> parse -> export the byte identity.
+
+enum class unit { plain, ms, sec, ms_forever };  // ms_forever: -1 = never
+
+template <class S>
+struct field {
+    const char* key;
+    double lo = -k_inf, hi = k_inf;  // inclusive range of numbers and array entries
+    std::string valid{};            // enum names
+    const char* table = nullptr;  // nested table name (objects, object arrays)
+    bool required = false;
+    field&& need() &&
+    {
+        required = true;
+        return std::move(*this);
     }
-    return j;
-}
+    // Runs for keys present in the document; absent ones keep the default.
+    std::function<void(const site&, const stats::json& v, S&)> read{};
+    std::function<stats::json(const S&)> write{};  // null: key not exported
+    std::function<void(stats::json&)> describe_table{};
+};
 
-aqm::wred_profile parse_wred_profile(const std::string& origin,
-                                     const stats::json& node,
-                                     const std::string& path)
-{
-    binder b(origin, node, path);
-    aqm::wred_profile p;
-    p.min_bytes = static_cast<std::size_t>(
-        b.int_or("min_bytes", 0, 0, 1ll << 40));
-    p.max_bytes = static_cast<std::size_t>(
-        b.int_or("max_bytes", 0, 0, 1ll << 40));
-    p.max_p = b.num_or("max_p", 1.0, 0.0, 1.0);
-    b.done();
-    return p;
-}
+template <class S>
+struct table {
+    const char* name;
+    std::vector<field<S>> rows;
+    // Derived defaults, applied after binding entry `index` of its array.
+    void (*finish)(S&, std::size_t index) = nullptr;
+};
 
-stats::json json_of_wred_profile(const aqm::wred_profile& p)
+template <class S>
+void bind_node(const std::string& origin, const stats::json& node, std::string path,
+               S& out, const table<S>& t, std::size_t index = 0)
 {
-    auto j = stats::json::object();
-    j.set("min_bytes", static_cast<std::uint64_t>(p.min_bytes))
-        .set("max_bytes", static_cast<std::uint64_t>(p.max_bytes))
-        .set("max_p", p.max_p);
-    return j;
-}
-
-aqm::wred_dualq_config parse_wred(const std::string& origin,
-                                  const stats::json& node, const std::string& path)
-{
-    binder b(origin, node, path);
-    aqm::wred_dualq_config cfg;
-    if (const stats::json* p = b.object("l4s"))
-        cfg.l4s = parse_wred_profile(origin, *p, path + ".l4s");
-    if (const stats::json* p = b.object("classic"))
-        cfg.classic = parse_wred_profile(origin, *p, path + ".classic");
-    cfg.ecn_drop_bytes = static_cast<std::size_t>(
-        b.int_or("ecn_drop_bytes", static_cast<long long>(cfg.ecn_drop_bytes), 0,
-                 1ll << 40));
-    cfg.l4s_weight = static_cast<int>(b.int_or("l4s_weight", cfg.l4s_weight, 1, 1 << 20));
-    cfg.max_bytes = static_cast<std::size_t>(
-        b.int_or("max_bytes", static_cast<long long>(cfg.max_bytes), 1, 1ll << 40));
-    b.done();
-    return cfg;
-}
-
-stats::json json_of_wred(const aqm::wred_dualq_config& cfg)
-{
-    auto j = stats::json::object();
-    j.set("l4s", json_of_wred_profile(cfg.l4s))
-        .set("classic", json_of_wred_profile(cfg.classic))
-        .set("ecn_drop_bytes", static_cast<std::uint64_t>(cfg.ecn_drop_bytes))
-        .set("l4s_weight", cfg.l4s_weight)
-        .set("max_bytes", static_cast<std::uint64_t>(cfg.max_bytes));
-    return j;
-}
-
-core::l4span_config parse_l4s(const std::string& origin, const stats::json& node,
-                              const std::string& path)
-{
-    binder b(origin, node, path);
-    core::l4span_config cfg;
-    cfg.sojourn_threshold = ms_to_tick(
-        b.num_or("sojourn_threshold_ms", sim::to_ms(cfg.sojourn_threshold), 0.1, 10e3));
-    cfg.coherence_time = ms_to_tick(
-        b.num_or("coherence_time_ms", sim::to_ms(cfg.coherence_time), 0.1, 10e3));
-    cfg.short_circuit = b.bool_or("short_circuit", cfg.short_circuit);
-    cfg.drop_non_ecn = b.bool_or("drop_non_ecn", cfg.drop_non_ecn);
-    cfg.error_aware = b.bool_or("error_aware", cfg.error_aware);
-    cfg.classic_beta = b.num_or("classic_beta", cfg.classic_beta, 0.01, 0.99);
-    cfg.mss = static_cast<std::uint32_t>(b.int_or("mss", cfg.mss, 64, 65535));
-    cfg.shared_policy = shared_drb_policy_by_name(
-        b.str_or("shared_policy", shared_drb_policy_name(cfg.shared_policy)));
-    cfg.prune_horizon = ms_to_tick(
-        b.num_or("prune_horizon_ms", sim::to_ms(cfg.prune_horizon), 1.0, 3600e3));
-    b.done();
-    return cfg;
-}
-
-stats::json json_of_l4s(const core::l4span_config& cfg)
-{
-    auto j = stats::json::object();
-    j.set("sojourn_threshold_ms", sim::to_ms(cfg.sojourn_threshold))
-        .set("coherence_time_ms", sim::to_ms(cfg.coherence_time))
-        .set("short_circuit", cfg.short_circuit)
-        .set("drop_non_ecn", cfg.drop_non_ecn)
-        .set("error_aware", cfg.error_aware)
-        .set("classic_beta", cfg.classic_beta)
-        .set("mss", static_cast<int>(cfg.mss))
-        .set("shared_policy", shared_drb_policy_name(cfg.shared_policy))
-        .set("prune_horizon_ms", sim::to_ms(cfg.prune_horizon));
-    return j;
-}
-
-topo::cross_traffic_spec parse_cross(const std::string& origin,
-                                     const stats::json& node,
-                                     const std::string& path)
-{
-    binder b(origin, node, path);
-    topo::cross_traffic_spec s;
-    s.model = b.str_or("model", s.model);
-    if (s.model != "poisson" && s.model != "cbr")
-        fail(origin, b.line(),
-             "key \"" + path + ".model\": unknown model \"" + s.model +
-                 "\" (valid: poisson, cbr)");
-    s.rate_bps = b.num_or("rate_bps", 0.0, 0.0, 1e12);
-    s.pkt_bytes = static_cast<std::uint32_t>(b.int_or("pkt_bytes", s.pkt_bytes, 64, 65535));
-    s.ecn_field = ecn_by_name(b, "ecn", b.str_or("ecn", ecn_name(s.ecn_field)));
-    s.start_time = ms_to_tick(b.num_or("start_ms", 0.0, 0.0, 3600e3));
-    const double stop_ms = b.num_or("stop_ms", -1.0, -1.0, 3600e3);
-    s.stop_time = stop_ms < 0.0 ? -1 : ms_to_tick(stop_ms);
-    s.uplink = b.bool_or("uplink", false);
-    b.done();
-    return s;
-}
-
-stats::json json_of_cross(const topo::cross_traffic_spec& s)
-{
-    auto j = stats::json::object();
-    j.set("model", s.model)
-        .set("rate_bps", s.rate_bps)
-        .set("pkt_bytes", static_cast<int>(s.pkt_bytes))
-        .set("ecn", ecn_name(s.ecn_field))
-        .set("start_ms", sim::to_ms(s.start_time))
-        .set("stop_ms", s.stop_time < 0 ? -1.0 : sim::to_ms(s.stop_time))
-        .set("uplink", s.uplink);
-    return j;
-}
-
-cell_spec parse_cell(const std::string& origin, const stats::json& node,
-                     const std::string& path)
-{
-    binder b(origin, node, path);
-    cell_spec c;
-    c.num_ues = static_cast<int>(b.int_or("num_ues", c.num_ues, 1, 4096));
-    c.channel = b.str_or("channel", c.channel);
-    if (c.channel == "trace")
-        fail(origin, b.line(),
-             "key \"" + path + ".channel\": \"trace\" is not available in "
-             "scenario files (v1) — DCI trace replay needs trace data files; "
-             "use bench_trace_replay (valid: static, pedestrian, vehicular, "
-             "mobile)");
-    c.rlc_queue_sdus = static_cast<std::size_t>(
-        b.int_or("rlc_queue_sdus", static_cast<long long>(c.rlc_queue_sdus), 1,
-                 1ll << 30));
-    c.cu = cu_mode_by_name(b, "cu", b.str_or("cu", cu_mode_name(c.cu)));
-    c.seed = b.u64_or("seed", c.seed);
-    c.separate_drbs_per_class =
-        b.bool_or("separate_drbs_per_class", c.separate_drbs_per_class);
-    c.bottleneck_bps = b.num_or("bottleneck_bps", 0.0, 0.0, 1e12);
-    c.bottleneck_aqm = b.str_or("bottleneck_aqm", c.bottleneck_aqm);
-    if (c.bottleneck_aqm != "fifo" && c.bottleneck_aqm != "dualpi2" &&
-        c.bottleneck_aqm != "wred")
-        fail(origin, b.line(),
-             "key \"" + path + ".bottleneck_aqm\": unknown AQM \"" +
-                 c.bottleneck_aqm + "\" (valid: fifo, dualpi2, wred)");
-    if (const stats::json* w = b.object("wred"))
-        c.wred = parse_wred(origin, *w, path + ".wred");
-    c.ul_bottleneck_bps = b.num_or("ul_bottleneck_bps", 0.0, 0.0, 1e12);
-    if (const stats::json* l = b.object("l4s"))
-        c.l4s = parse_l4s(origin, *l, path + ".l4s");
-    if (const stats::json* i = b.object("impair_dl"))
-        c.impair_dl = parse_impairment(origin, *i, path + ".impair_dl", true);
-    if (const stats::json* i = b.object("impair_ul"))
-        c.impair_ul = parse_impairment(origin, *i, path + ".impair_ul", true);
-    if (const stats::json* x = b.opt("cross_traffic")) {
-        if (!x->is_array()) b.fail_key("cross_traffic", *x, "must be an array");
-        for (std::size_t i = 0; i < x->elements().size(); ++i)
-            c.cross_traffic.push_back(parse_cross(
-                origin, x->elements()[i], elem_path(path, "cross_traffic", i)));
+    if (!node.is_object())
+        fail(origin, node.line(), "\"" + path + "\" must be an object");
+    const site at{origin, std::move(path), node.line()};
+    for (const auto& row : t.rows) {
+        if (const stats::json* v = node.find(row.key))
+            row.read(at, *v, out);
+        else if (row.required)
+            fail(origin, at.line,
+                 "missing required key \"" + at.key_path(row.key) + "\"");
     }
-    b.done();
-    return c;
-}
-
-stats::json json_of_cell(const cell_spec& c)
-{
-    auto j = stats::json::object();
-    j.set("num_ues", c.num_ues)
-        .set("channel", c.channel)
-        .set("rlc_queue_sdus", static_cast<std::uint64_t>(c.rlc_queue_sdus))
-        .set("cu", cu_mode_name(c.cu))
-        .set("seed", c.seed)
-        .set("separate_drbs_per_class", c.separate_drbs_per_class)
-        .set("bottleneck_bps", c.bottleneck_bps)
-        .set("bottleneck_aqm", c.bottleneck_aqm)
-        .set("wred", json_of_wred(c.wred))
-        .set("ul_bottleneck_bps", c.ul_bottleneck_bps)
-        .set("l4s", json_of_l4s(c.l4s))
-        .set("impair_dl", json_of_impairment(c.impair_dl, true))
-        .set("impair_ul", json_of_impairment(c.impair_ul, true));
-    auto x = stats::json::array();
-    for (const auto& s : c.cross_traffic) x.push(json_of_cross(s));
-    j.set("cross_traffic", std::move(x));
-    return j;
-}
-
-flow_spec parse_flow(const std::string& origin, const stats::json& node,
-                     const std::string& path, int* count_out)
-{
-    binder b(origin, node, path);
-    flow_spec f;
-    f.cca = b.str_or("cca", f.cca);
-    f.ue = static_cast<int>(b.int_or("ue", f.ue, 0, 1 << 20));
-    *count_out = static_cast<int>(b.int_or("count", 1, 1, 4096));
-    f.start_time = ms_to_tick(b.num_or("start_ms", 0.0, 0.0, 3600e3));
-    const double stop_ms = b.num_or("stop_ms", -1.0, -1.0, 3600e3);
-    f.stop_time = stop_ms < 0.0 ? -1 : ms_to_tick(stop_ms);
-    f.flow_bytes = b.u64_or("flow_bytes", f.flow_bytes);
-    f.wired_owd_ms = b.num_or("wired_owd_ms", f.wired_owd_ms, 0.0, 10e3);
-    f.mss = static_cast<std::uint32_t>(b.int_or("mss", f.mss, 64, 65535));
-    f.max_cwnd = b.u64_or("max_cwnd", f.max_cwnd);
-    f.media_max_bps = b.num_or("media_max_bps", f.media_max_bps, 0.0, 1e12);
-    f.media_start_bps = b.num_or("media_start_bps", f.media_start_bps, 0.0, 1e12);
-    f.fps = b.num_or("fps", f.fps, 0.0, 1e3);
-    f.frame_bitrate_bps = b.num_or("frame_bitrate_bps", f.frame_bitrate_bps, 0.0, 1e12);
-    f.keyframe_interval_s = b.num_or("keyframe_interval_s", f.keyframe_interval_s,
-                                     0.01, 3600.0);
-    f.keyframe_scale = b.num_or("keyframe_scale", f.keyframe_scale, 1.0, 1e3);
-    f.frame_deadline_ms = b.num_or("frame_deadline_ms", f.frame_deadline_ms, 0.1,
-                                   10e3);
-    b.done();
-    return f;
-}
-
-stats::json json_of_flow(const flow_spec& f, int count)
-{
-    auto j = stats::json::object();
-    j.set("cca", f.cca)
-        .set("ue", f.ue)
-        .set("count", count)
-        .set("start_ms", sim::to_ms(f.start_time))
-        .set("stop_ms", f.stop_time < 0 ? -1.0 : sim::to_ms(f.stop_time))
-        .set("flow_bytes", f.flow_bytes)
-        .set("wired_owd_ms", f.wired_owd_ms)
-        .set("mss", static_cast<int>(f.mss))
-        .set("max_cwnd", f.max_cwnd)
-        .set("media_max_bps", f.media_max_bps)
-        .set("media_start_bps", f.media_start_bps)
-        .set("fps", f.fps)
-        .set("frame_bitrate_bps", f.frame_bitrate_bps)
-        .set("keyframe_interval_s", f.keyframe_interval_s)
-        .set("keyframe_scale", f.keyframe_scale)
-        .set("frame_deadline_ms", f.frame_deadline_ms);
-    return j;
-}
-
-// --- family parsers / exporters ---------------------------------------------
-
-tcp_grid_family parse_tcp_grid(const std::string& origin, const stats::json& node)
-{
-    binder b(origin, node, "tcp_grid");
-    tcp_grid_family f;
-    f.seed_base = b.u64_or("seed_base", f.seed_base);
-    f.rtts_ms.clear();
-    for (const auto& v : b.array("rtts_ms").elements()) {
-        if (!v.is_number() || v.as_number() < 0.0 || v.as_number() > 10e3)
-            fail(origin, v.line(),
-                 "key \"tcp_grid.rtts_ms\" entries must be numbers in [0, 10000]");
-        f.rtts_ms.push_back(v.as_number());
-    }
-    f.queues_sdus.clear();
-    for (const auto& v : b.array("queues_sdus").elements()) {
-        if (!v.is_number() || v.as_number() < 1 || v.as_number() > (1 << 30) ||
-            v.as_number() != std::floor(v.as_number()))
-            fail(origin, v.line(),
-                 "key \"tcp_grid.queues_sdus\" entries must be integers >= 1");
-        f.queues_sdus.push_back(static_cast<std::size_t>(v.as_number()));
-    }
-    f.ue_counts.clear();
-    for (const auto& v : b.array("ue_counts").elements()) {
-        if (!v.is_number() || v.as_number() < 1 || v.as_number() > 4096 ||
-            v.as_number() != std::floor(v.as_number()))
-            fail(origin, v.line(),
-                 "key \"tcp_grid.ue_counts\" entries must be integers in [1, 4096]");
-        f.ue_counts.push_back(static_cast<int>(v.as_number()));
-    }
-    f.ccas.clear();
-    for (const auto& v : b.array("ccas").elements()) {
-        if (!v.is_string())
-            fail(origin, v.line(), "key \"tcp_grid.ccas\" entries must be strings");
-        f.ccas.push_back(v.as_string());
-    }
-    f.channels.clear();
-    for (const auto& v : b.array("channels").elements()) {
-        if (!v.is_string())
-            fail(origin, v.line(),
-                 "key \"tcp_grid.channels\" entries must be strings");
-        f.channels.push_back(v.as_string());
-    }
-    b.done();
-    return f;
-}
-
-stats::json json_of_tcp_grid(const tcp_grid_family& f)
-{
-    auto j = stats::json::object();
-    j.set("seed_base", f.seed_base);
-    auto rtts = stats::json::array();
-    for (double v : f.rtts_ms) rtts.push(v);
-    j.set("rtts_ms", std::move(rtts));
-    auto queues = stats::json::array();
-    for (std::size_t v : f.queues_sdus) queues.push(static_cast<std::uint64_t>(v));
-    j.set("queues_sdus", std::move(queues));
-    auto ues = stats::json::array();
-    for (int v : f.ue_counts) ues.push(v);
-    j.set("ue_counts", std::move(ues));
-    auto ccas = stats::json::array();
-    for (const auto& v : f.ccas) ccas.push(v);
-    j.set("ccas", std::move(ccas));
-    auto chans = stats::json::array();
-    for (const auto& v : f.channels) chans.push(v);
-    j.set("channels", std::move(chans));
-    return j;
-}
-
-shared_drb_family parse_shared_drb(const std::string& origin, const stats::json& node)
-{
-    binder b(origin, node, "shared_drb");
-    shared_drb_family f;
-    f.seed = b.u64_or("seed", f.seed);
-    const stats::json& strategies = b.array("strategies");
-    for (std::size_t i = 0; i < strategies.elements().size(); ++i) {
-        const std::string path = elem_path("shared_drb", "strategies", i);
-        binder sb(origin, strategies.elements()[i], path);
-        shared_drb_family::strategy st;
-        st.label = sb.str_or("label", "");
-        try {
-            st.policy = shared_drb_policy_by_name(
-                sb.str_or("policy", "coupled"));
-        } catch (const scenario_error& e) {
-            fail(origin, sb.line(), "key \"" + path + ".policy\": " + e.what());
+    // Unknown-key sweep: the rows are the complete schema of this object,
+    // so anything else is a typo worth naming, with the valid keys.
+    for (const auto& [key, value] : node.members()) {
+        std::string valid;
+        bool known = false;
+        for (const auto& row : t.rows) {
+            known = known || key == row.key;
+            valid += (valid.empty() ? "" : ", ") + std::string(row.key);
         }
-        if (st.label.empty()) st.label = shared_drb_policy_name(st.policy);
-        sb.done();
-        f.strategies.push_back(std::move(st));
+        if (!known)
+            fail(origin, value.line() > 0 ? value.line() : at.line,
+                 "unknown key \"" + at.key_path(key) + "\" (valid: " + valid + ")");
     }
-    b.done();
-    return f;
+    if (t.finish) t.finish(out, index);
 }
 
-stats::json json_of_shared_drb(const shared_drb_family& f)
+template <class S>
+stats::json export_table(const S& s, const table<S>& t)
 {
     auto j = stats::json::object();
-    j.set("seed", f.seed);
-    auto strategies = stats::json::array();
-    for (const auto& st : f.strategies) {
-        auto js = stats::json::object();
-        js.set("label", st.label).set("policy", shared_drb_policy_name(st.policy));
-        strategies.push(std::move(js));
-    }
-    j.set("strategies", std::move(strategies));
+    for (const auto& row : t.rows)
+        if (auto v = row.write(s); !v.is_null()) j.set(row.key, std::move(v));
     return j;
 }
 
-ecn_impairment_family parse_ecn_impairment(const std::string& origin,
-                                           const stats::json& node)
+// Appends {table name: [row, ...]} for `t` and every table nested in it.
+template <class S>
+void describe(const table<S>& t, stats::json& out)
 {
-    binder b(origin, node, "ecn_impairment");
-    ecn_impairment_family f;
-    f.seed = b.u64_or("seed", f.seed);
-    f.ues = static_cast<int>(b.int_or("ues", f.ues, 1, 4096));
-    f.bottleneck_bps = b.num_or("bottleneck_bps", f.bottleneck_bps, 1e3, 1e12);
-    f.bottleneck_aqm = b.str_or("bottleneck_aqm", f.bottleneck_aqm);
-    if (f.bottleneck_aqm != "fifo" && f.bottleneck_aqm != "dualpi2" &&
-        f.bottleneck_aqm != "wred")
-        fail(origin, b.line(),
-             "key \"ecn_impairment.bottleneck_aqm\": unknown AQM \"" +
-                 f.bottleneck_aqm + "\" (valid: fifo, dualpi2, wred)");
-    f.cross_rate_bps = b.num_or("cross_rate_bps", f.cross_rate_bps, 0.0, 1e12);
-    f.cross_options.clear();
-    for (const auto& v : b.array("cross_options").elements()) {
-        if (!v.is_bool())
-            fail(origin, v.line(),
-                 "key \"ecn_impairment.cross_options\" entries must be booleans");
-        f.cross_options.push_back(v.as_bool());
+    if (out.find(t.name)) return;
+    S def{};
+    if (t.finish) t.finish(def, 0);
+    auto rows = stats::json::array();
+    for (const auto& r : t.rows) {
+        auto j = stats::json::object();
+        j.set("key", r.key).set("required", r.required).set("default", r.write(def));
+        if (r.lo > -k_inf || r.hi < k_inf) j.set("min", r.lo).set("max", r.hi);
+        if (!r.valid.empty()) j.set("valid", r.valid);
+        if (r.table) j.set("table", r.table);
+        rows.push(std::move(j));
     }
-    const stats::json& ccas = b.array("ccas");
-    for (std::size_t i = 0; i < ccas.elements().size(); ++i) {
-        const std::string path = elem_path("ecn_impairment", "ccas", i);
-        binder cb(origin, ccas.elements()[i], path);
-        ecn_impairment_family::transport t;
-        t.cca = cb.str_or("cca", "prague");
-        t.label = cb.str_or("label", t.cca);
-        cb.done();
-        f.ccas.push_back(std::move(t));
+    out.set(t.name, std::move(rows));
+    for (const auto& r : t.rows)
+        if (r.describe_table) r.describe_table(out);
+}
+
+template <class M>
+M read_scalar(const site& at, const std::string& key, const stats::json& v,
+              double lo, double hi, unit u)
+{
+    if constexpr (std::is_same_v<M, bool>) {
+        if (!v.is_bool()) fail_key(at, key, v, "must be true or false");
+        return v.as_bool();
+    } else if constexpr (std::is_same_v<M, std::string>) {
+        if (!v.is_string()) fail_key(at, key, v, "must be a string");
+        return v.as_string();
+    } else {
+        if (!v.is_number()) fail_key(at, key, v, "must be a number");
+        const double d = v.as_number();
+        if (d < lo || d > hi)
+            fail_key(at, key, v,
+                     "must be in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+                         "], got " + std::to_string(d));
+        // Time fields round to the nearest tick (nanosecond). Unlike from_ms's
+        // truncation, that makes tick -> decimal -> tick the identity for
+        // every tick below 2^51 ns, which keeps export -> parse -> export exact.
+        if (u == unit::ms_forever && d < 0.0) return static_cast<M>(-1);
+        if (u != unit::plain) {
+            const auto tick = u == unit::sec ? sim::k_second : sim::k_millisecond;
+            return static_cast<M>(std::llround(d * static_cast<double>(tick)));
+        }
+        if (std::is_integral_v<M> && d != std::floor(d))
+            fail_key(at, key, v, "must be an integer, got " + std::to_string(d));
+        return static_cast<M>(d);
     }
-    const stats::json& profiles = b.array("profiles");
-    for (std::size_t i = 0; i < profiles.elements().size(); ++i) {
-        const std::string path = elem_path("ecn_impairment", "profiles", i);
-        binder pb(origin, profiles.elements()[i], path);
-        ecn_impairment_family::profile p;
-        p.name = pb.str_or("name", "profile" + std::to_string(i));
-        p.drop_non_ecn = pb.bool_or("drop_non_ecn", false);
-        if (const stats::json* imp = pb.object("impair"))
-            p.impair = parse_impairment(origin, *imp, path + ".impair", true);
-        pb.done();
-        f.profiles.push_back(std::move(p));
+}
+
+template <class M>
+stats::json write_scalar(const M& m, unit u)
+{
+    if constexpr (std::is_same_v<M, sim::tick>) {
+        if (u == unit::ms_forever && m < 0) return -1.0;
+        if (u != unit::plain) return u == unit::sec ? sim::to_sec(m) : sim::to_ms(m);
     }
-    b.done();
+    if constexpr (std::is_same_v<M, bool> || std::is_same_v<M, std::string>)
+        return m;
+    else
+        return static_cast<double>(m);
+}
+
+// Number, integer, bool or string member.
+template <class S, class M>
+field<S> val(const char* key, M S::*m, double lo = -k_inf, double hi = k_inf,
+             unit u = unit::plain)
+{
+    field<S> f{key, lo, hi};
+    f.read = [=](const site& at, const stats::json& v, S& s) {
+        s.*m = read_scalar<M>(at, key, v, lo, hi, u);
+    };
+    f.write = [=](const S& s) { return write_scalar(s.*m, u); };
     return f;
 }
 
-stats::json json_of_ecn_impairment(const ecn_impairment_family& f)
+// Enum (or string-set) member travelling as one of `names`.
+template <class S, class M>
+field<S> pick(const char* key, M S::*m, const name_list<M>& names)
 {
-    auto j = stats::json::object();
-    j.set("seed", f.seed)
-        .set("ues", f.ues)
-        .set("bottleneck_bps", f.bottleneck_bps)
-        .set("bottleneck_aqm", f.bottleneck_aqm)
-        .set("cross_rate_bps", f.cross_rate_bps);
-    auto cross = stats::json::array();
-    for (bool v : f.cross_options) cross.push(v);
-    j.set("cross_options", std::move(cross));
-    auto ccas = stats::json::array();
-    for (const auto& t : f.ccas) {
-        auto jt = stats::json::object();
-        jt.set("cca", t.cca).set("label", t.label);
-        ccas.push(std::move(jt));
-    }
-    j.set("ccas", std::move(ccas));
-    auto profiles = stats::json::array();
-    for (const auto& p : f.profiles) {
-        auto jp = stats::json::object();
-        jp.set("name", p.name)
-            .set("drop_non_ecn", p.drop_non_ecn)
-            .set("impair", json_of_impairment(p.impair, true));
-        profiles.push(std::move(jp));
-    }
-    j.set("profiles", std::move(profiles));
-    return j;
-}
-
-fault_chaos_family parse_fault_chaos(const std::string& origin,
-                                     const stats::json& node)
-{
-    binder b(origin, node, "fault_chaos");
-    fault_chaos_family f;
-    f.num_cells = static_cast<int>(b.int_or("num_cells", f.num_cells, 1, 64));
-    f.ues_per_cell = static_cast<int>(b.int_or("ues_per_cell", f.ues_per_cell, 1, 256));
-    f.cell_seed = b.u64_or("cell_seed", f.cell_seed);
-    f.wired_bps = b.num_or("wired_bps", f.wired_bps, 1e3, 1e12);
-    f.fault_seed = b.u64_or("fault_seed", f.fault_seed);
-    f.fault_start_ms = b.num_or("fault_start_ms", f.fault_start_ms, 0.0, 3600e3);
-    f.fault_end_margin_ms =
-        b.num_or("fault_end_margin_ms", f.fault_end_margin_ms, 0.0, 3600e3);
-    const stats::json& profiles = b.array("profiles");
-    for (std::size_t i = 0; i < profiles.elements().size(); ++i) {
-        const std::string path = elem_path("fault_chaos", "profiles", i);
-        binder pb(origin, profiles.elements()[i], path);
-        fault_chaos_family::profile p;
-        p.name = pb.str_or("name", "profile" + std::to_string(i));
-        p.rlf_per_ue_per_sec = pb.num_or("rlf_per_ue_per_sec", 0.0, 0.0, 100.0);
-        p.ho_failure_per_ue_per_sec =
-            pb.num_or("ho_failure_per_ue_per_sec", 0.0, 0.0, 100.0);
-        p.outages_per_cell_per_sec =
-            pb.num_or("outages_per_cell_per_sec", 0.0, 0.0, 100.0);
-        p.flaps_per_cell_per_sec =
-            pb.num_or("flaps_per_cell_per_sec", 0.0, 0.0, 100.0);
-        pb.done();
-        f.profiles.push_back(std::move(p));
-    }
-    const stats::json& transports = b.array("transports");
-    for (std::size_t i = 0; i < transports.elements().size(); ++i) {
-        const std::string path = elem_path("fault_chaos", "transports", i);
-        binder tb(origin, transports.elements()[i], path);
-        fault_chaos_family::transport t;
-        t.cca = tb.str_or("cca", "prague");
-        t.media = tb.bool_or("media", false);
-        tb.done();
-        f.transports.push_back(std::move(t));
-    }
-    b.done();
+    field<S> f{key};
+    f.valid = names.valid();
+    f.read = [key, m, &names](const site& at, const stats::json& v, S& s) {
+        const auto name = read_scalar<std::string>(at, key, v, 0, 0, unit::plain);
+        const M* value = names.find(name);
+        if (!value)
+            fail(at.origin, v.line() > 0 ? v.line() : at.line,
+                 "key \"" + at.key_path(key) + "\": unknown " + names.what + " \"" +
+                     name + "\" (valid: " + names.valid() + ")");
+        s.*m = *value;
+    };
+    f.write = [m, &names](const S& s) { return stats::json(names.name_of(s.*m)); };
     return f;
 }
 
-stats::json json_of_fault_chaos(const fault_chaos_family& f)
+// Nested object, bound from a default-constructed member.
+template <class S, class M>
+field<S> sub(const char* key, M S::*m, const table<M>& t)
 {
-    auto j = stats::json::object();
-    j.set("num_cells", f.num_cells)
-        .set("ues_per_cell", f.ues_per_cell)
-        .set("cell_seed", f.cell_seed)
-        .set("wired_bps", f.wired_bps)
-        .set("fault_seed", f.fault_seed)
-        .set("fault_start_ms", f.fault_start_ms)
-        .set("fault_end_margin_ms", f.fault_end_margin_ms);
-    auto profiles = stats::json::array();
-    for (const auto& p : f.profiles) {
-        auto jp = stats::json::object();
-        jp.set("name", p.name)
-            .set("rlf_per_ue_per_sec", p.rlf_per_ue_per_sec)
-            .set("ho_failure_per_ue_per_sec", p.ho_failure_per_ue_per_sec)
-            .set("outages_per_cell_per_sec", p.outages_per_cell_per_sec)
-            .set("flaps_per_cell_per_sec", p.flaps_per_cell_per_sec);
-        profiles.push(std::move(jp));
-    }
-    j.set("profiles", std::move(profiles));
-    auto transports = stats::json::array();
-    for (const auto& t : f.transports) {
-        auto jt = stats::json::object();
-        jt.set("cca", t.cca).set("media", t.media);
-        transports.push(std::move(jt));
-    }
-    j.set("transports", std::move(transports));
-    return j;
-}
-
-cell_flows_family parse_cell_flows(const std::string& origin,
-                                   const stats::json& node)
-{
-    binder b(origin, node, "cell_flows");
-    cell_flows_family f;
-    f.seeds.clear();
-    for (const auto& v : b.array("seeds").elements()) {
-        if (!v.is_number() || v.as_number() < 0 || v.as_number() > k_max_exact ||
-            v.as_number() != std::floor(v.as_number()))
-            fail(origin, v.line(),
-                 "key \"cell_flows.seeds\" entries must be non-negative integers");
-        f.seeds.push_back(static_cast<std::uint64_t>(v.as_number()));
-    }
-    if (const stats::json* c = b.object("cell"))
-        f.cell = parse_cell(origin, *c, "cell_flows.cell");
-    const stats::json& flows = b.array("flows");
-    for (std::size_t i = 0; i < flows.elements().size(); ++i) {
-        cell_flows_family::flow fl;
-        fl.spec = parse_flow(origin, flows.elements()[i],
-                             elem_path("cell_flows", "flows", i), &fl.count);
-        f.flows.push_back(std::move(fl));
-    }
-    b.done();
+    field<S> f{key};
+    f.table = t.name;
+    f.describe_table = [&t](stats::json& out) { describe(t, out); };
+    f.read = [key, m, &t](const site& at, const stats::json& v, S& s) {
+        s.*m = M{};
+        bind_node(at.origin, v, at.key_path(key), s.*m, t);
+    };
+    f.write = [m, &t](const S& s) { return export_table(s.*m, t); };
     return f;
 }
 
-stats::json json_of_cell_flows(const cell_flows_family& f)
+const std::vector<stats::json>& entries(const site& at, const char* key,
+                                        const stats::json& v, bool need)
 {
-    auto j = stats::json::object();
-    auto seeds = stats::json::array();
-    for (std::uint64_t v : f.seeds) seeds.push(v);
-    j.set("seeds", std::move(seeds));
-    j.set("cell", json_of_cell(f.cell));
-    auto flows = stats::json::array();
-    for (const auto& fl : f.flows) flows.push(json_of_flow(fl.spec, fl.count));
-    j.set("flows", std::move(flows));
-    return j;
+    if (!v.is_array()) fail_key(at, key, v, "must be an array");
+    if (need && v.elements().empty()) fail_key(at, key, v, "must not be empty");
+    return v.elements();
 }
+
+// Array of objects; `required` arrays must be present and non-empty.
+template <class S, class M>
+field<S> list(const char* key, std::vector<M> S::*m, const table<M>& t,
+              bool need = true)
+{
+    field<S> f{key};
+    f.table = t.name;
+    f.required = need;
+    f.describe_table = [&t](stats::json& out) { describe(t, out); };
+    f.read = [=, &t](const site& at, const stats::json& v, S& s) {
+        const auto& es = entries(at, key, v, need);
+        (s.*m).clear();
+        for (std::size_t i = 0; i < es.size(); ++i) {
+            M e{};
+            const auto path = at.key_path(key) + "[" + std::to_string(i) + "]";
+            bind_node(at.origin, es[i], path, e, t, i);
+            (s.*m).push_back(std::move(e));
+        }
+    };
+    f.write = [m, &t](const S& s) {
+        auto j = stats::json::array();
+        for (const auto& e : s.*m) j.push(export_table(e, t));
+        return j;
+    };
+    return f;
+}
+
+// Required, non-empty array of scalars, each in [lo, hi].
+template <class S, class M>
+field<S> list(const char* key, std::vector<M> S::*m, double lo = -k_inf,
+              double hi = k_inf)
+{
+    field<S> f{key, lo, hi};
+    f.required = true;
+    f.read = [=](const site& at, const stats::json& v, S& s) {
+        const auto& es = entries(at, key, v, true);
+        (s.*m).clear();
+        for (std::size_t i = 0; i < es.size(); ++i) {
+            const auto entry = std::string(key) + "[" + std::to_string(i) + "]";
+            (s.*m).push_back(read_scalar<M>(at, entry, es[i], lo, hi, unit::plain));
+        }
+    };
+    f.write = [=](const S& s) {
+        auto j = stats::json::array();
+        for (const auto& e : s.*m) j.push(write_scalar<M>(e, unit::plain));
+        return j;
+    };
+    return f;
+}
+
+// --- the schema ---------------------------------------------------------------
+
+using imp = topo::impairment_spec;
+// `policies` is the flow_policies row: a list at the top level, a rejection
+// inside a per-flow policy.
+std::vector<field<imp>> impairment_rows(field<imp> policies)
+{
+    return {val("remark_ect1", &imp::remark_ect1, 0, 1),
+            val("bleach_ce", &imp::bleach_ce, 0, 1),
+            val("strip_ect", &imp::strip_ect, 0, 1),
+            val("loss", &imp::loss, 0, 1),
+            val("loss_burst", &imp::loss_burst, 1, 1e6),
+            val("reorder", &imp::reorder, 0, 1),
+            val("reorder_gap", &imp::reorder_gap, 1, 0x1p20),
+            val("reorder_hold_max_ms", &imp::reorder_hold_max, 0, 60e3, unit::ms),
+            val("duplicate", &imp::duplicate, 0, 1),
+            val("force_stage", &imp::force_stage),
+            std::move(policies)};
+}
+
+field<imp> no_nested_policies()
+{
+    field<imp> f{"flow_policies"};
+    f.read = [](const site& at, const stats::json& v, imp&) {
+        fail_key(at, "flow_policies", v,
+                 "may not nest (per-flow policies are one level deep)");
+    };
+    f.write = [](const imp&) { return stats::json(); };
+    return f;
+}
+const table<imp> k_flow_policy{"flow_policy", impairment_rows(no_nested_policies())};
+const table<imp> k_impairment{
+    "impairment",
+    impairment_rows(list("flow_policies", &imp::flow_policies, k_flow_policy, false))};
+
+using wprof = aqm::wred_profile;
+const table<wprof> k_wred_profile{"wred_profile", {
+    val("min_bytes", &wprof::min_bytes, 0, 0x1p40),
+    val("max_bytes", &wprof::max_bytes, 0, 0x1p40),
+    val("max_p", &wprof::max_p, 0, 1)}};
+
+using wred = aqm::wred_dualq_config;
+const table<wred> k_wred{"wred", {
+    sub("l4s", &wred::l4s, k_wred_profile),
+    sub("classic", &wred::classic, k_wred_profile),
+    val("ecn_drop_bytes", &wred::ecn_drop_bytes, 0, 0x1p40),
+    val("l4s_weight", &wred::l4s_weight, 1, 0x1p20),
+    val("max_bytes", &wred::max_bytes, 1, 0x1p40)}};
+
+using l4s = core::l4span_config;
+const table<l4s> k_l4s{"l4s", {
+    val("sojourn_threshold_ms", &l4s::sojourn_threshold, 0.1, 10e3, unit::ms),
+    val("coherence_time_ms", &l4s::coherence_time, 0.1, 10e3, unit::ms),
+    val("short_circuit", &l4s::short_circuit),
+    val("drop_non_ecn", &l4s::drop_non_ecn),
+    val("error_aware", &l4s::error_aware),
+    val("classic_beta", &l4s::classic_beta, 0.01, 0.99),
+    val("mss", &l4s::mss, 64, 65535),
+    pick("shared_policy", &l4s::shared_policy, k_policies),
+    val("prune_horizon_ms", &l4s::prune_horizon, 1, 3600e3, unit::ms)}};
+
+using cross = topo::cross_traffic_spec;
+const table<cross> k_cross{"cross_traffic", {
+    pick("model", &cross::model, k_models),
+    val("rate_bps", &cross::rate_bps, 0, 1e12),
+    val("pkt_bytes", &cross::pkt_bytes, 64, 65535),
+    pick("ecn", &cross::ecn_field, k_ecns),
+    val("start_ms", &cross::start_time, 0, 3600e3, unit::ms),
+    val("stop_ms", &cross::stop_time, -1, 3600e3, unit::ms_forever),
+    val("uplink", &cross::uplink)}};
+
+field<cell_spec> channel_row()
+{
+    auto f = pick("channel", &cell_spec::channel, k_channels);
+    f.read = [read = f.read](const site& at, const stats::json& v, cell_spec& c) {
+        if (v.is_string() && v.as_string() == "trace")
+            fail(at.origin, v.line(),
+                 "key \"" + at.key_path("channel") +
+                     "\": \"trace\" is not available in scenario files (v1) — DCI trace "
+                     "replay needs trace data files; use bench_trace_replay (valid: " +
+                     k_channels.valid() + ")");
+        read(at, v, c);
+    };
+    return f;
+}
+
+const table<cell_spec> k_cell{"cell", {
+    val("num_ues", &cell_spec::num_ues, 1, 4096),
+    channel_row(),
+    val("rlc_queue_sdus", &cell_spec::rlc_queue_sdus, 1, 0x1p30),
+    pick("cu", &cell_spec::cu, k_cu_modes),
+    val("seed", &cell_spec::seed, 0, k_max_exact),
+    val("separate_drbs_per_class", &cell_spec::separate_drbs_per_class),
+    val("bottleneck_bps", &cell_spec::bottleneck_bps, 0, 1e12),
+    pick("bottleneck_aqm", &cell_spec::bottleneck_aqm, k_aqms),
+    sub("wred", &cell_spec::wred, k_wred),
+    val("ul_bottleneck_bps", &cell_spec::ul_bottleneck_bps, 0, 1e12),
+    sub("l4s", &cell_spec::l4s, k_l4s),
+    sub("impair_dl", &cell_spec::impair_dl, k_impairment),
+    sub("impair_ul", &cell_spec::impair_ul, k_impairment),
+    list("cross_traffic", &cell_spec::cross_traffic, k_cross, false)}};
+
+// A flow entry is a flow_spec plus its replica count, which the file lists
+// between `ue` and `start_ms`.
+using flow = cell_flows_family::flow;
+template <class M>
+field<flow> spec(const char* key, M flow_spec::*m, double lo = -k_inf, double hi = k_inf,
+                 unit u = unit::plain)
+{
+    field<flow> f{key, lo, hi};
+    f.read = [=](const site& at, const stats::json& v, flow& fl) {
+        fl.spec.*m = read_scalar<M>(at, key, v, lo, hi, u);
+    };
+    f.write = [=](const flow& fl) { return write_scalar(fl.spec.*m, u); };
+    return f;
+}
+
+const table<flow> k_flow{"flow", {
+    spec("cca", &flow_spec::cca),
+    spec("ue", &flow_spec::ue, 0, 0x1p20),
+    val("count", &flow::count, 1, 4096),
+    spec("start_ms", &flow_spec::start_time, 0, 3600e3, unit::ms),
+    spec("stop_ms", &flow_spec::stop_time, -1, 3600e3, unit::ms_forever),
+    spec("flow_bytes", &flow_spec::flow_bytes, 0, k_max_exact),
+    spec("wired_owd_ms", &flow_spec::wired_owd_ms, 0, 10e3),
+    spec("mss", &flow_spec::mss, 64, 65535),
+    spec("max_cwnd", &flow_spec::max_cwnd, 0, k_max_exact),
+    spec("media_max_bps", &flow_spec::media_max_bps, 0, 1e12),
+    spec("media_start_bps", &flow_spec::media_start_bps, 0, 1e12),
+    spec("fps", &flow_spec::fps, 0, 1e3),
+    spec("frame_bitrate_bps", &flow_spec::frame_bitrate_bps, 0, 1e12),
+    spec("keyframe_interval_s", &flow_spec::keyframe_interval_s, 0.01, 3600),
+    spec("keyframe_scale", &flow_spec::keyframe_scale, 1, 1e3),
+    spec("frame_deadline_ms", &flow_spec::frame_deadline_ms, 0.1, 10e3)}};
+
+using grid = tcp_grid_family;
+const table<grid> k_tcp_grid{"tcp_grid", {
+    val("seed_base", &grid::seed_base, 0, k_max_exact),
+    list("rtts_ms", &grid::rtts_ms, 0, 10e3),
+    list("queues_sdus", &grid::queues_sdus, 1, 0x1p30),
+    list("ue_counts", &grid::ue_counts, 1, 4096),
+    list("ccas", &grid::ccas),
+    list("channels", &grid::channels)}};
+
+using strategy = shared_drb_family::strategy;
+const table<strategy> k_strategy{
+    "strategy",
+    {val("label", &strategy::label), pick("policy", &strategy::policy, k_policies)},
+    [](strategy& s, std::size_t) {
+        if (s.label.empty()) s.label = k_policies.name_of(s.policy);
+    }};
+const table<shared_drb_family> k_shared_drb{"shared_drb", {
+    val("seed", &shared_drb_family::seed, 0, k_max_exact),
+    list("strategies", &shared_drb_family::strategies, k_strategy)}};
+
+template <class P>
+void name_profile(P& p, std::size_t i)
+{
+    if (p.name.empty()) p.name = "profile" + std::to_string(i);
+}
+
+using ecn_imp = ecn_impairment_family;
+const table<ecn_imp::transport> k_ecn_transport{
+    "ecn_transport",
+    {val("cca", &ecn_imp::transport::cca), val("label", &ecn_imp::transport::label)},
+    [](ecn_imp::transport& t, std::size_t) {
+        if (t.label.empty()) t.label = t.cca;
+    }};
+const table<ecn_imp::profile> k_ecn_profile{
+    "ecn_profile",
+    {val("name", &ecn_imp::profile::name),
+     val("drop_non_ecn", &ecn_imp::profile::drop_non_ecn),
+     sub("impair", &ecn_imp::profile::impair, k_impairment)},
+    name_profile<ecn_imp::profile>};
+const table<ecn_imp> k_ecn_impairment{"ecn_impairment", {
+    val("seed", &ecn_imp::seed, 0, k_max_exact),
+    val("ues", &ecn_imp::ues, 1, 4096),
+    val("bottleneck_bps", &ecn_imp::bottleneck_bps, 1e3, 1e12),
+    pick("bottleneck_aqm", &ecn_imp::bottleneck_aqm, k_aqms),
+    val("cross_rate_bps", &ecn_imp::cross_rate_bps, 0, 1e12),
+    list("cross_options", &ecn_imp::cross_options),
+    list("ccas", &ecn_imp::ccas, k_ecn_transport),
+    list("profiles", &ecn_imp::profiles, k_ecn_profile)}};
+
+using chaos = fault_chaos_family;
+const table<chaos::profile> k_fault_profile{
+    "fault_profile",
+    {val("name", &chaos::profile::name),
+     val("rlf_per_ue_per_sec", &chaos::profile::rlf_per_ue_per_sec, 0, 100),
+     val("ho_failure_per_ue_per_sec", &chaos::profile::ho_failure_per_ue_per_sec, 0, 100),
+     val("outages_per_cell_per_sec", &chaos::profile::outages_per_cell_per_sec, 0, 100),
+     val("flaps_per_cell_per_sec", &chaos::profile::flaps_per_cell_per_sec, 0, 100)},
+    name_profile<chaos::profile>};
+const table<chaos::transport> k_fault_transport{
+    "fault_transport",
+    {val("cca", &chaos::transport::cca), val("media", &chaos::transport::media)}};
+const table<chaos> k_fault_chaos{"fault_chaos", {
+    val("num_cells", &chaos::num_cells, 1, 64),
+    val("ues_per_cell", &chaos::ues_per_cell, 1, 256),
+    val("cell_seed", &chaos::cell_seed, 0, k_max_exact),
+    val("wired_bps", &chaos::wired_bps, 1e3, 1e12),
+    val("fault_seed", &chaos::fault_seed, 0, k_max_exact),
+    val("fault_start_ms", &chaos::fault_start_ms, 0, 3600e3),
+    val("fault_end_margin_ms", &chaos::fault_end_margin_ms, 0, 3600e3),
+    list("profiles", &chaos::profiles, k_fault_profile),
+    list("transports", &chaos::transports, k_fault_transport)}};
+
+const table<cell_flows_family> k_cell_flows{"cell_flows", {
+    list("seeds", &cell_flows_family::seeds, 0, k_max_exact),
+    sub("cell", &cell_flows_family::cell, k_cell),
+    list("flows", &cell_flows_family::flows, k_flow)}};
+
+field<scenario_spec> schema_row()
+{
+    field<scenario_spec> f{"schema"};
+    f.valid = k_scenario_schema;
+    f.required = true;
+    f.read = [](const site& at, const stats::json& v, scenario_spec&) {
+        if (!v.is_string() || v.as_string() != k_scenario_schema)
+            fail_key(at, "schema", v,
+                     "must be \"" + std::string(k_scenario_schema) + "\", got " +
+                         v.dump_compact());
+    };
+    f.write = [](const scenario_spec&) { return stats::json(k_scenario_schema); };
+    return f;
+}
+
+// The selected family's section. A stray section of another family would be
+// silently ignored content, so it is diagnosed.
+template <class M>
+field<scenario_spec> section(const char* key, M scenario_spec::*m, const table<M>& t)
+{
+    auto f = sub(key, m, t);
+    f.read = [key, read = f.read](const site& at, const stats::json& v,
+                                  scenario_spec& s) {
+        if (s.family != key)
+            fail(at.origin, v.line(),
+                 "section \"$." + std::string(key) + "\" present but family is \"" +
+                     s.family + "\" — remove it or change $.family");
+        read(at, v, s);
+    };
+    f.write = [key, write = f.write](const scenario_spec& s) {
+        return s.family == key ? write(s) : stats::json();
+    };
+    return f;
+}
+
+const table<scenario_spec> k_scenario{"scenario", {
+    schema_row(),
+    val("figure", &scenario_spec::figure),
+    val("title", &scenario_spec::title),
+    val("paper_ref", &scenario_spec::paper_ref),
+    val("quick", &scenario_spec::quick),
+    val("duration_s", &scenario_spec::duration, 0.001, 3600, unit::sec).need(),
+    pick("family", &scenario_spec::family, k_families).need(),
+    section("tcp_grid", &scenario_spec::tcp_grid, k_tcp_grid),
+    section("shared_drb", &scenario_spec::shared_drb, k_shared_drb),
+    section("ecn_impairment", &scenario_spec::ecn_impairment, k_ecn_impairment),
+    section("fault_chaos", &scenario_spec::fault_chaos, k_fault_chaos),
+    section("cell_flows", &scenario_spec::cell_flows, k_cell_flows)}};
 
 }  // namespace
 
-std::string shared_drb_policy_name(core::shared_drb_policy p)
-{
-    switch (p) {
-        case core::shared_drb_policy::original: return "original";
-        case core::shared_drb_policy::l4s_all: return "l4s_all";
-        case core::shared_drb_policy::classic_all: return "classic_all";
-        case core::shared_drb_policy::coupled: return "coupled";
-    }
-    return "coupled";
-}
-
-core::shared_drb_policy shared_drb_policy_by_name(const std::string& name)
-{
-    if (name == "original") return core::shared_drb_policy::original;
-    if (name == "l4s_all") return core::shared_drb_policy::l4s_all;
-    if (name == "classic_all") return core::shared_drb_policy::classic_all;
-    if (name == "coupled") return core::shared_drb_policy::coupled;
-    throw scenario_error("unknown shared-DRB policy \"" + name +
-                         "\" (valid: original, l4s_all, classic_all, coupled)");
-}
-
-void scenario_spec::validate() const
-{
+void scenario_spec::validate() const try {
     const auto require = [](bool ok, const std::string& msg) {
         if (!ok) throw scenario_error(msg);
     };
@@ -861,13 +624,9 @@ void scenario_spec::validate() const
                     !ecn_impairment.cross_options.empty(),
                 "ecn_impairment: ccas, profiles and cross_options each need at "
                 "least one entry");
-        try {
-            for (std::size_t i = 0; i < ecn_impairment.profiles.size(); ++i)
-                ecn_impairment.profiles[i].impair.validate(
-                    "ecn_impairment.profiles[" + std::to_string(i) + "].impair");
-        } catch (const std::invalid_argument& e) {
-            throw scenario_error(e.what());
-        }
+        for (std::size_t i = 0; i < ecn_impairment.profiles.size(); ++i)
+            ecn_impairment.profiles[i].impair.validate(
+                "ecn_impairment.profiles[" + std::to_string(i) + "].impair");
     } else if (family == "fault_chaos") {
         require(!fault_chaos.profiles.empty() && !fault_chaos.transports.empty(),
                 "fault_chaos: profiles and transports each need at least one "
@@ -880,16 +639,12 @@ void scenario_spec::validate() const
     } else if (family == "cell_flows") {
         require(!cell_flows.seeds.empty(), "cell_flows.seeds needs at least one entry");
         require(!cell_flows.flows.empty(), "cell_flows.flows needs at least one entry");
-        try {
-            cell_flows.cell.impair_dl.validate("cell_flows.cell.impair_dl");
-            cell_flows.cell.impair_ul.validate("cell_flows.cell.impair_ul");
-            cell_flows.cell.wred.validate("cell_flows.cell.wred");
-            for (std::size_t i = 0; i < cell_flows.cell.cross_traffic.size(); ++i)
-                cell_flows.cell.cross_traffic[i].validate(
-                    "cell_flows.cell.cross_traffic[" + std::to_string(i) + "]");
-        } catch (const std::invalid_argument& e) {
-            throw scenario_error(e.what());
-        }
+        cell_flows.cell.impair_dl.validate("cell_flows.cell.impair_dl");
+        cell_flows.cell.impair_ul.validate("cell_flows.cell.impair_ul");
+        cell_flows.cell.wred.validate("cell_flows.cell.wred");
+        for (std::size_t i = 0; i < cell_flows.cell.cross_traffic.size(); ++i)
+            cell_flows.cell.cross_traffic[i].validate(
+                "cell_flows.cell.cross_traffic[" + std::to_string(i) + "]");
         for (const auto& fl : cell_flows.flows)
             require(fl.spec.ue + fl.count <= cell_flows.cell.num_ues,
                     "cell_flows.flows: flow on ue " + std::to_string(fl.spec.ue) +
@@ -898,9 +653,10 @@ void scenario_spec::validate() const
                         std::to_string(cell_flows.cell.num_ues) + ")");
     } else {
         throw scenario_error("unknown family \"" + family +
-                             "\" (valid: tcp_grid, shared_drb, ecn_impairment, "
-                             "fault_chaos, cell_flows)");
+                             "\" (valid: " + k_families.valid() + ")");
     }
+} catch (const std::invalid_argument& e) {
+    throw scenario_error(e.what());
 }
 
 scenario_spec parse_scenario_text(std::string_view text, const std::string& origin)
@@ -911,58 +667,12 @@ scenario_spec parse_scenario_text(std::string_view text, const std::string& orig
     } catch (const stats::json_parse_error& e) {
         throw scenario_error(origin + ": " + e.what());
     }
-    binder b(origin, doc, "$");
     scenario_spec spec;
-    const std::string schema = b.str_or("schema", "");
-    if (schema != k_scenario_schema)
-        fail(origin, doc.line(),
-             "key \"$.schema\" must be \"" + std::string(k_scenario_schema) +
-                 "\", got \"" + schema + "\"");
-    spec.figure = b.str_or("figure", "scenario");
-    spec.title = b.str_or("title", "scenario");
-    spec.paper_ref = b.str_or("paper_ref", "custom scenario");
-    spec.quick = b.bool_or("quick", false);
-    spec.duration = sec_to_tick(b.num_or("duration_s", 0.0, 0.001, 3600.0));
-    spec.family = b.str_or("family", "");
-    const stats::json* section = nullptr;
-    if (spec.family == "tcp_grid") {
-        section = b.object("tcp_grid");
-        if (section) spec.tcp_grid = parse_tcp_grid(origin, *section);
-    } else if (spec.family == "shared_drb") {
-        section = b.object("shared_drb");
-        if (section) spec.shared_drb = parse_shared_drb(origin, *section);
-    } else if (spec.family == "ecn_impairment") {
-        section = b.object("ecn_impairment");
-        if (section) spec.ecn_impairment = parse_ecn_impairment(origin, *section);
-    } else if (spec.family == "fault_chaos") {
-        section = b.object("fault_chaos");
-        if (section) spec.fault_chaos = parse_fault_chaos(origin, *section);
-    } else if (spec.family == "cell_flows") {
-        section = b.object("cell_flows");
-        if (section) spec.cell_flows = parse_cell_flows(origin, *section);
-    } else {
-        fail(origin, doc.line(),
-             "key \"$.family\": unknown family \"" + spec.family +
-                 "\" (valid: tcp_grid, shared_drb, ecn_impairment, fault_chaos, "
-                 "cell_flows)");
-    }
-    if (!section)
+    bind_node(origin, doc, "$", spec, k_scenario);
+    if (!doc.find(spec.family))
         fail(origin, doc.line(),
              "missing section \"$." + spec.family +
                  "\" (the family names its parameter block)");
-    // The other four family keys must not also be present: two parameter
-    // blocks with one family selector is a scenario that silently ignores
-    // half its content — diagnose instead.
-    for (const char* other : {"tcp_grid", "shared_drb", "ecn_impairment",
-                              "fault_chaos", "cell_flows"}) {
-        if (other == spec.family) continue;
-        if (const stats::json* stray = b.opt(other))
-            fail(origin, stray->line(),
-                 "section \"$." + std::string(other) +
-                     "\" present but family is \"" + spec.family +
-                     "\" — remove it or change $.family");
-    }
-    b.done();
     try {
         spec.validate();
     } catch (const scenario_error& e) {
@@ -981,28 +691,10 @@ scenario_spec load_scenario_file(const std::string& path)
 
 stats::json export_scenario(const scenario_spec& spec)
 {
-    auto j = stats::json::object();
-    j.set("schema", k_scenario_schema)
-        .set("figure", spec.figure)
-        .set("title", spec.title)
-        .set("paper_ref", spec.paper_ref)
-        .set("quick", spec.quick)
-        .set("duration_s", sim::to_sec(spec.duration))
-        .set("family", spec.family);
-    if (spec.family == "tcp_grid")
-        j.set("tcp_grid", json_of_tcp_grid(spec.tcp_grid));
-    else if (spec.family == "shared_drb")
-        j.set("shared_drb", json_of_shared_drb(spec.shared_drb));
-    else if (spec.family == "ecn_impairment")
-        j.set("ecn_impairment", json_of_ecn_impairment(spec.ecn_impairment));
-    else if (spec.family == "fault_chaos")
-        j.set("fault_chaos", json_of_fault_chaos(spec.fault_chaos));
-    else if (spec.family == "cell_flows")
-        j.set("cell_flows", json_of_cell_flows(spec.cell_flows));
-    else
+    if (!k_families.find(spec.family))
         throw scenario_error("export_scenario: unknown family \"" + spec.family +
                              "\"");
-    return j;
+    return export_table(spec, k_scenario);
 }
 
 int write_scenario_file(const std::string& path, const scenario_spec& spec)
@@ -1013,6 +705,13 @@ int write_scenario_file(const std::string& path, const scenario_spec& spec)
     }
     std::fprintf(stderr, "wrote %s\n", path.c_str());
     return 0;
+}
+
+stats::json schema_reference()
+{
+    auto out = stats::json::object();
+    describe(k_scenario, out);
+    return out;
 }
 
 }  // namespace l4span::scenario

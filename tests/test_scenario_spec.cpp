@@ -14,8 +14,11 @@
 // builtin's export, omitted keys take pinned defaults, file-path round-trip
 // via write_scenario_file/load_scenario_file, and validation diagnostics
 // naming the offending key and source line.
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -370,5 +373,218 @@ TEST(scenario_spec, omitted_keys_take_pinned_defaults)
         SCOPED_TRACE(doc);
         EXPECT_EQ(export_scenario(parse_scenario_text(doc, "<minimal>")).dump_compact(),
                   g.exported);
+    }
+}
+
+namespace {
+
+// `node` with `value` placed at `where` (object keys, or array indices in
+// decimal); a missing last key is appended.
+stats::json with_value(const stats::json& node, const std::vector<std::string>& where,
+                       std::size_t depth, const stats::json& value)
+{
+    if (depth == where.size()) return value;
+    if (node.is_array()) {
+        auto out = stats::json::array();
+        for (std::size_t i = 0; i < node.elements().size(); ++i)
+            out.push(std::to_string(i) == where[depth]
+                         ? with_value(node.elements()[i], where, depth + 1, value)
+                         : node.elements()[i]);
+        return out;
+    }
+    auto out = stats::json::object();
+    bool found = false;
+    for (const auto& [k, v] : node.members()) {
+        found = found || k == where[depth];
+        out.set(k, k == where[depth] ? with_value(v, where, depth + 1, value) : v);
+    }
+    if (!found) out.set(where[depth], value);
+    return out;
+}
+
+// Walks `node` (bound by schema table `table`, at key path `path`) and
+// calls `check(where, path, row)` for every row of every table reached.
+// Arrays of objects are entered through their first entry.
+template <class F>
+void walk(const stats::json& ref, const stats::json& node, const std::string& table,
+          const std::vector<std::string>& where, const std::string& path,
+          std::set<std::string>& seen, F&& check)
+{
+    seen.insert(table);
+    for (const auto& row : ref.find(table)->elements()) {
+        const std::string key = row.find("key")->as_string();
+        check(where, path, row);
+        const stats::json* child = row.find("table");
+        const stats::json* v = node.find(key);
+        if (!child || !v) continue;
+        auto w = where;
+        w.push_back(key);
+        if (v->is_object()) {
+            walk(ref, *v, child->as_string(), w, path + "." + key, seen, check);
+        } else if (v->is_array() && !v->elements().empty()) {
+            w.push_back("0");
+            walk(ref, v->elements()[0], child->as_string(), w, path + "." + key + "[0]",
+                 seen, check);
+        }
+    }
+}
+
+// Scenario documents that between them reach every schema table.
+std::vector<stats::json> sample_documents()
+{
+    std::vector<stats::json> docs;
+    for (const char* name : k_builtins)
+        docs.push_back(export_scenario(builtin_scenario(name, true)));
+    docs.push_back(export_scenario(parse_scenario_text(
+        R"({"schema": "l4span-scenario-v1", "duration_s": 2, "family": "cell_flows",)"
+        R"( "cell_flows": {"seeds": [1], "cell": {"impair_ul": {"flow_policies": [{}]},)"
+        R"( "cross_traffic": [{"rate_bps": 1}]}, "flows": [{}]}})",
+        "<sample>")));
+    return docs;
+}
+
+}  // namespace
+
+// Every row of every schema table rejects a wrong-typed value and, where it
+// declares one, an out-of-range value or an unknown name, and the
+// diagnostic names the full key path and a source line.
+TEST(scenario_spec, every_schema_key_diagnoses_bad_values_with_path_and_line)
+{
+    const stats::json ref = scenario::schema_reference();
+    std::set<std::string> seen;
+    int probes = 0;
+    for (const auto& doc : sample_documents()) {
+        walk(ref, doc, "scenario", {}, "$", seen,
+             [&](const std::vector<std::string>& where, const std::string& path,
+                 const stats::json& row) {
+                 const std::string key = row.find("key")->as_string();
+                 auto w = where;
+                 w.push_back(key);
+                 const stats::json& def = *row.find("default");
+                 std::vector<stats::json> bad{def.is_number() ? stats::json("x")
+                                                              : stats::json(1)};
+                 if (const stats::json* lo = row.find("min")) {
+                     const double hi = row.find("max")->as_number();
+                     std::vector<double> outside{lo->as_number() - 1.0, hi * 2.0 + 1.0};
+                     for (double d : outside) {
+                         if (!def.is_array()) {
+                             bad.emplace_back(d);
+                         } else {
+                             auto a = stats::json::array();
+                             a.push(d);
+                             bad.push_back(std::move(a));
+                         }
+                     }
+                 }
+                 if (row.find("valid")) bad.emplace_back("no-such-name");
+                 for (const auto& value : bad) {
+                     ++probes;
+                     const std::string text = with_value(doc, w, 0, value).dump();
+                     SCOPED_TRACE(path + "." + key + " = " + value.dump_compact());
+                     try {
+                         parse_scenario_text(text, "<probe>");
+                         ADD_FAILURE() << "accepted";
+                     } catch (const scenario_error& e) {
+                         const std::string msg = e.what();
+                         EXPECT_NE(msg.find(path + "." + key), std::string::npos) << msg;
+                         EXPECT_NE(msg.find("(line "), std::string::npos) << msg;
+                     }
+                 }
+             });
+    }
+    for (const auto& [table, rows] : ref.members()) EXPECT_TRUE(seen.count(table)) << table;
+    EXPECT_GT(probes, 300);
+}
+
+namespace {
+
+std::string trim(std::string s)
+{
+    const auto b = s.find_first_not_of(" \t");
+    if (b == std::string::npos) return "";
+    return s.substr(b, s.find_last_not_of(" \t") - b + 1);
+}
+
+std::string strip_backticks(std::string s)
+{
+    std::erase(s, '`');
+    return s;
+}
+
+// "2^53" or a JSON number.
+double doc_number(const std::string& token)
+{
+    const auto caret = token.find('^');
+    if (caret != std::string::npos)
+        return std::pow(std::stod(token.substr(0, caret)), std::stod(token.substr(caret + 1)));
+    return std::stod(token);
+}
+
+}  // namespace
+
+// docs/SCENARIOS.md documents each schema table after a
+// `<!-- schema: NAME -->` marker, one row per key: | key | type | default |
+// range | notes |. Key order, defaults (a JSON literal in backticks, or
+// *required*) and ranges ([min, max], or the valid names) must match the
+// tables the parser runs on.
+TEST(scenario_spec, scenarios_md_matches_schema_tables)
+{
+    const stats::json ref = scenario::schema_reference();
+    std::istringstream md(read_fixture("docs/SCENARIOS.md"));
+    std::string line, table;
+    std::set<std::string> documented;
+    std::size_t row_index = 0;
+    while (std::getline(md, line)) {
+        if (line.rfind("<!-- schema: ", 0) == 0) {
+            table = line.substr(13, line.find(" -->") - 13);
+            ASSERT_NE(ref.find(table), nullptr) << "unknown table " << table;
+            EXPECT_TRUE(documented.insert(table).second) << table;
+            row_index = 0;
+            continue;
+        }
+        if (table.empty()) continue;
+        if (line.rfind("|", 0) != 0) {
+            if (row_index > 0) {
+                EXPECT_EQ(row_index, ref.find(table)->elements().size()) << table;
+                table.clear();
+            }
+            continue;
+        }
+        std::vector<std::string> cells;
+        std::stringstream ss(line.substr(1));
+        for (std::string c; std::getline(ss, c, '|');) cells.push_back(trim(c));
+        if (cells[0] == "key" || cells[0].rfind("---", 0) == 0) continue;
+        ASSERT_GE(cells.size(), 4u) << line;
+        const auto& rows = ref.find(table)->elements();
+        ASSERT_LT(row_index, rows.size()) << table << ": extra row " << line;
+        const stats::json& row = rows[row_index++];
+        SCOPED_TRACE(table + ": " + line);
+        EXPECT_EQ(strip_backticks(cells[0]), row.find("key")->as_string());
+        const stats::json& def = *row.find("default");
+        if (row.find("required")->as_bool()) {
+            EXPECT_EQ(cells[2], "*required*");
+        } else if (!row.find("table") || def.is_array()) {
+            EXPECT_EQ(stats::json::parse(strip_backticks(cells[2])).dump_compact(),
+                      def.dump_compact());
+        }
+        if (const stats::json* lo = row.find("min")) {
+            const std::string range = cells[3];
+            ASSERT_TRUE(range.size() > 2 && range.front() == '[' && range.back() == ']');
+            const auto comma = range.find(", ");
+            EXPECT_EQ(doc_number(range.substr(1, comma - 1)), lo->as_number());
+            EXPECT_EQ(doc_number(range.substr(comma + 2, range.size() - comma - 3)),
+                      row.find("max")->as_number());
+        } else if (const stats::json* valid = row.find("valid")) {
+            EXPECT_EQ(strip_backticks(cells[3]), valid->as_string());
+        } else {
+            EXPECT_EQ(cells[3], "");
+        }
+    }
+    // Per-flow policies are impairments minus flow_policies; the impairment
+    // table documents both.
+    for (const auto& [name, rows] : ref.members()) {
+        if (name != "flow_policy") {
+            EXPECT_TRUE(documented.count(name)) << name;
+        }
     }
 }
