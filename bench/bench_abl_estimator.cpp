@@ -6,7 +6,7 @@
 //  (3) short-circuiting's interaction with the base RTT.
 #include <cstdio>
 
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
 
 using namespace l4span;

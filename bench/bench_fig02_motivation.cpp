@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "aqm/dualpi2.h"
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
 #include "topo/wired_link.h"
 #include "transport/tcp.h"

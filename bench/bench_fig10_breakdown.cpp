@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
 
 using namespace l4span;

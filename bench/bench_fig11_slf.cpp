@@ -4,7 +4,7 @@
 // ~10% LLF throughput cost.
 #include <cstdio>
 
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
 
 using namespace l4span;

@@ -3,7 +3,7 @@
 // (106 ms) servers.
 #include <cstdio>
 
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
 
 using namespace l4span;

@@ -4,7 +4,7 @@
 // Local server (minimal wired delay), as in the paper.
 #include <cstdio>
 
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
 
 using namespace l4span;

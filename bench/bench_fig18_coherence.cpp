@@ -15,7 +15,7 @@
 #include <functional>
 #include <vector>
 
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "chan/fading.h"
 #include "chan/mcs.h"
 #include "chan/trace_channel.h"

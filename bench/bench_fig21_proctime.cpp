@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "aqm/dualpi2.h"
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "core/l4span.h"
 #include "net/packet_pool.h"
 #include "ran/mac.h"

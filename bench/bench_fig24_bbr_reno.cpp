@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
 #include "scenario/grid_runner.h"
 #include "stats/json.h"

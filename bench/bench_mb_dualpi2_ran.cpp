@@ -4,7 +4,7 @@
 // track a volatile wireless egress rate.
 #include <cstdio>
 
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
 
 using namespace l4span;

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "scenario/grid_runner.h"
 #include "scenario/topology.h"
 #include "stats/json.h"

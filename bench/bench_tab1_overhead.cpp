@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
 #include "scenario/grid_runner.h"
 #include "sim/event_loop.h"

@@ -15,7 +15,7 @@
 #include <memory>
 #include <vector>
 
-#include "bench_util.h"
+#include "scenario/bench_format.h"
 #include "chan/trace_channel.h"
 #include "chan/trace_io.h"
 #include "scenario/grid_runner.h"

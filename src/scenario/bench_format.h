@@ -1,6 +1,6 @@
 // Shared output/formatting helpers for the benchmark harnesses and the
-// scenario engine's family runners. Historically bench/bench_util.h; moved
-// into the library so `l4span_run` and the conformance tests share the
+// scenario engine's family runners. They live in the library so
+// `l4span_run` and the conformance tests share the
 // exact code path the bench binaries print through — byte-identity between
 // a bench and the same scenario loaded from JSON holds by construction.
 #pragma once
