@@ -1,5 +1,6 @@
 #include "scenario/scenario_spec.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -121,7 +122,7 @@ struct field {
     }
     // Runs for keys present in the document; absent ones keep the default.
     std::function<void(const site&, const stats::json& v, S&)> read{};
-    std::function<stats::json(const S&)> write{};  // null: key not exported
+    std::function<stats::json(const S&)> write{};  // null result: not exported
     std::function<void(stats::json&)> describe_table{};
 };
 
@@ -150,15 +151,13 @@ void bind_node(const std::string& origin, const stats::json& node, std::string p
     // Unknown-key sweep: the rows are the complete schema of this object,
     // so anything else is a typo worth naming, with the valid keys.
     for (const auto& [key, value] : node.members()) {
+        const auto is_key = [&k = key](const field<S>& row) { return k == row.key; };
+        if (std::any_of(t.rows.begin(), t.rows.end(), is_key)) continue;
         std::string valid;
-        bool known = false;
-        for (const auto& row : t.rows) {
-            known = known || key == row.key;
+        for (const auto& row : t.rows)
             valid += (valid.empty() ? "" : ", ") + std::string(row.key);
-        }
-        if (!known)
-            fail(origin, value.line() > 0 ? value.line() : at.line,
-                 "unknown key \"" + at.key_path(key) + "\" (valid: " + valid + ")");
+        fail(origin, value.line() > 0 ? value.line() : at.line,
+             "unknown key \"" + at.key_path(key) + "\" (valid: " + valid + ")");
     }
     if (t.finish) t.finish(out, index);
 }

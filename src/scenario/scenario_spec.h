@@ -131,12 +131,12 @@ struct cell_flows_family {
 // --- the scenario document --------------------------------------------------
 
 struct scenario_spec {
-    std::string figure = "scenario";         // summary JSON "figure" tag (fig09, ...)
-    std::string title = "scenario";          // banner line
+    std::string figure = "scenario";            // summary JSON "figure" tag (fig09, ...)
+    std::string title = "scenario";             // banner line
     std::string paper_ref = "custom scenario";  // banner "reproduces:" line
-    std::string family;     // which block below is active
-    bool quick = false;     // documents which slice this file describes
-    sim::tick duration = 0; // per-grid-point simulated time
+    std::string family;                         // which block below is active
+    bool quick = false;      // documents which slice this file describes
+    sim::tick duration = 0;  // per-grid-point simulated time
 
     tcp_grid_family tcp_grid;
     shared_drb_family shared_drb;
@@ -171,10 +171,11 @@ stats::json export_scenario(const scenario_spec& spec);
 int write_scenario_file(const std::string& path, const scenario_spec& spec);
 
 // The schema as data, derived from the same per-struct field tables the
-// parser and exporter run on: {table name: [{key, type, required, default,
-// min?, max?, valid?, table?}, ...]} in file key order. `table` names the
-// nested table of an object or object-array key; "scenario" is the
-// document. docs/SCENARIOS.md is checked against it.
+// parser and exporter run on: {table name: [{key, required, default, min?,
+// max?, valid?, table?}, ...]} in file key order. `default` is what an
+// omitted key takes, `valid` lists enum names, `table` names the nested
+// table of an object or object-array key; "scenario" is the document.
+// docs/SCENARIOS.md is checked against it.
 stats::json schema_reference();
 
 }  // namespace l4span::scenario
