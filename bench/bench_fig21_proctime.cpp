@@ -1,25 +1,18 @@
 // Fig. 21 — Wall-clock processing time of L4Span's three event handlers
-// against a busy entity (64 UEs' state, deep profile tables), plus a
-// per-stage breakdown of the simulator's own hot path (RLC / MAC / AQM /
-// L4Span) so hot-path PRs start from data rather than a fresh profile.
-// The paper reports <2 us for uplink/feedback and <4 us worst-case for
-// downlink packets.
+// against a busy entity (64 UEs' state, deep profile tables). The paper
+// reports <2 us for uplink/feedback and <4 us worst-case for downlink
+// packets.
 //
 // Measurement is plain std::chrono (steady_clock around a tight loop,
-// one discarded warmup rep, median of three): no google-benchmark
-// dependency, so the binary builds everywhere the simulator does and the
-// JSON it emits can be gated in CI.
+// one discarded warmup rep, median of three). The per-layer cost of the
+// simulator's own hot path is measured in situ by bench/perf.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
-#include "aqm/dualpi2.h"
 #include "scenario/bench_format.h"
 #include "core/l4span.h"
-#include "net/packet_pool.h"
-#include "ran/mac.h"
-#include "ran/rlc.h"
 #include "stats/json.h"
 #include "stats/table.h"
 
@@ -80,8 +73,6 @@ core::l4span make_busy_entity()
     }
     return l;
 }
-
-// --- L4Span handlers (the paper's Fig. 21 measurement) ----------------------
 
 double bench_dl_packet(int n_ops)
 {
@@ -144,80 +135,12 @@ double bench_ran_feedback(int n_ops)
         n_ops);
 }
 
-// --- simulator hot-path stages ----------------------------------------------
-
-// RLC: one enqueue + one grant-sized pull per op (the DU-side per-SDU work:
-// queue, SN-ring bookkeeping, transmit-status emission, pool references).
-double bench_rlc_stage(int n_ops)
-{
-    net::packet_pool pool;
-    ran::rlc_tx tx(1, 1, ran::rlc_config{}, pool);
-    std::vector<ran::tb_chunk> chunks;
-    return ns_per_op(
-        [&, t = sim::tick{0}, sn = ran::pdcp_sn_t{1}](int n) mutable {
-            for (int i = 0; i < n; ++i) {
-                t += sim::from_us(10);
-                ran::pdcp_sdu sdu;
-                sdu.sn = sn++;
-                sdu.pkt = make_dl_packet(1);
-                sdu.size = 1400;
-                sdu.ingress_time = t;
-                tx.enqueue(std::move(sdu), t);
-                chunks.clear();
-                tx.pull(1500, t, chunks);
-                for (auto& c : chunks)
-                    if (c.pkt) pool.release(c.pkt);
-            }
-        },
-        n_ops);
-}
-
-// MAC: one full 64-UE PRB allocation per op (the per-DL-slot scheduler run).
-double bench_mac_stage(int n_ops)
-{
-    ran::mac_config cfg;
-    ran::prb_allocator alloc(cfg);
-    std::vector<ran::sched_input> inputs;
-    for (int u = 0; u < k_ues; ++u) {
-        alloc.add_ue();
-        ran::sched_input si;
-        si.ue_index = static_cast<std::uint32_t>(u);
-        si.backlog_bytes = 200'000;
-        si.bytes_per_prb = 80.0 + u;
-        inputs.push_back(si);
-    }
-    std::vector<int> grants;
-    return ns_per_op(
-        [&](int n) {
-            for (int i = 0; i < n; ++i) alloc.allocate(inputs, cfg.n_prb, grants);
-        },
-        n_ops);
-}
-
-// AQM: one DualPI2 enqueue + dequeue per op (sojourn sampling, PI update,
-// step marking).
-double bench_aqm_stage(int n_ops)
-{
-    aqm::dualpi2_queue q;
-    return ns_per_op(
-        [&, t = sim::tick{0}](int n) mutable {
-            for (int i = 0; i < n; ++i) {
-                t += sim::from_us(10);
-                q.enqueue(make_dl_packet(1), t);
-                (void)q.dequeue(t + sim::from_us(5));
-            }
-        },
-        n_ops);
-}
-
 }  // namespace
 
 int main(int argc, char** argv)
 {
     const auto args = scenario::parse_bench_args(argc, argv);
     const int n_handler = args.quick ? 50'000 : 500'000;
-    const int n_stage = args.quick ? 50'000 : 500'000;
-    const int n_mac = args.quick ? 5'000 : 50'000;  // a full 64-UE slot per op
 
     benchutil::header("Fig. 21: per-packet processing time",
                       "paper: <2 us uplink/feedback, <4 us worst-case downlink");
@@ -242,27 +165,5 @@ int main(int argc, char** argv)
     }
     handlers.print();
     summary.set("l4span_handlers_ns", std::move(handlers_json));
-
-    std::printf("\nSimulator hot-path stages (per-op cost the busy-cell rows"
-                " are made of):\n");
-    stats::table stages({"stage", "unit of work", "ns/op"});
-    auto stages_json = stats::json::object();
-    const struct {
-        const char* key;
-        const char* unit;
-        double ns;
-    } stage_rows[] = {
-        {"rlc", "enqueue + grant pull (1 SDU)", bench_rlc_stage(n_stage)},
-        {"mac", "64-UE PRB allocation (1 slot)", bench_mac_stage(n_mac)},
-        {"aqm", "DualPI2 enqueue + dequeue", bench_aqm_stage(n_stage)},
-        {"l4span", "DL mark decision (= on_dl_packet)", handler_rows[0].ns},
-    };
-    for (const auto& r : stage_rows) {
-        stages.add_row({r.key, r.unit, stats::table::num(r.ns, 1)});
-        stages_json.set(r.key, r.ns);
-    }
-    stages.print();
-    summary.set("stage_ns", std::move(stages_json));
-
     return benchutil::finish(args, summary);
 }

@@ -4,14 +4,11 @@
 # machine-readable summary, collected as BENCH_<fig>.json at the repo root —
 # the per-figure trajectories the ROADMAP tracks.
 #
-#   usage: scripts/run_benches.sh [--jobs N] [--quick] [--profile] [--obs] [build-dir] [outdir]
+#   usage: scripts/run_benches.sh [--jobs N] [--quick] [--obs] [build-dir] [outdir]
 #
 #   --jobs N   worker threads for the grid benches (default: all cores,
 #              also settable via L4SPAN_BENCH_JOBS; 1 = historical serial run)
 #   --quick    tiny grid slices (the CI perf-smoke configuration)
-#   --profile  run only bench_fig21_proctime and emit the per-stage
-#              (RLC/MAC/AQM/L4Span) ns breakdown as BENCH_fig21.json --
-#              the starting data for the next hot-path PR
 #   --obs      run bench_fault_chaos with the obs:: telemetry hub enabled:
 #              metric snapshots, trace dumps and flight-recorder incident
 #              files land under <outdir>/obs/, with a rendered summary in
@@ -20,7 +17,6 @@ set -eu
 
 jobs=${L4SPAN_BENCH_JOBS:-0}
 quick=""
-profile=""
 obs=""
 build_dir=""
 out_dir=""
@@ -38,16 +34,12 @@ while [ $# -gt 0 ]; do
             quick="--quick"
             shift
             ;;
-        --profile)
-            profile=1
-            shift
-            ;;
         --obs)
             obs=1
             shift
             ;;
         -*)
-            echo "usage: $0 [--jobs N] [--quick] [--profile] [--obs] [build-dir] [outdir]" >&2
+            echo "usage: $0 [--jobs N] [--quick] [--obs] [build-dir] [outdir]" >&2
             exit 2
             ;;
         *)
@@ -70,22 +62,6 @@ repo_root=$(dirname "$0")/..
 if [ ! -d "$build_dir" ]; then
     echo "error: build dir '$build_dir' not found (run the tier-1 build first)" >&2
     exit 1
-fi
-
-# --profile: just the per-stage hot-path breakdown, nothing else.
-if [ -n "$profile" ]; then
-    bin=$build_dir/bench_fig21_proctime
-    if [ ! -x "$bin" ]; then
-        echo "error: $bin not found (build the bench targets first)" >&2
-        exit 1
-    fi
-    mkdir -p "$out_dir"
-    echo "== bench_fig21_proctime (per-stage hot-path breakdown)"
-    "$bin" $quick --json "$out_dir/BENCH_fig21.json" > "$out_dir/bench_fig21_proctime.txt" 2>&1
-    tail -n 8 "$out_dir/bench_fig21_proctime.txt"
-    cp "$out_dir/BENCH_fig21.json" "$repo_root/BENCH_fig21.json"
-    echo "   wrote $out_dir/BENCH_fig21.json (and repo-root copy)"
-    exit 0
 fi
 
 # Benches that understand --jobs/--quick/--json (grid_runner- or

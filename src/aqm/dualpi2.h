@@ -35,10 +35,6 @@ public:
     std::size_t packet_count() const override { return lq_.size() + cq_.size(); }
 
     double base_probability() const { return p_prime_; }
-    sim::tick classic_sojourn(sim::tick now) const
-    {
-        return cq_.empty() ? 0 : now - cq_.front().enq_time;
-    }
 
 private:
     struct item {

@@ -599,11 +599,6 @@ double gnb::current_snr_db(rnti_t ue)
     return find_ue(ue).channel->snr_db(loop_.now());
 }
 
-int gnb::current_mcs(rnti_t ue)
-{
-    return chan::mcs_from_snr(current_snr_db(ue));
-}
-
 std::size_t gnb::resident_state_bytes() const
 {
     std::size_t total = 0;

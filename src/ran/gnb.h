@@ -138,7 +138,6 @@ public:
     rlc_tx& rlc(rnti_t ue, drb_id_t drb);
     const rlc_tx& rlc(rnti_t ue, drb_id_t drb) const;
     double current_snr_db(rnti_t ue);
-    int current_mcs(rnti_t ue);
     std::size_t num_ues() const { return ues_.size(); }
     // Attached (non-tombstone) UEs, in stable scheduler-index order — the
     // chaos-soak "no dangling RNTI" invariant compares this against the

@@ -66,8 +66,6 @@ public:
         avg_rate_[ue_index] = (1.0 - w) * avg_rate_[ue_index] + w * served_bytes;
     }
 
-    double average_rate(std::uint32_t ue_index) const { return avg_rate_.at(ue_index); }
-
 private:
     mac_config cfg_;
     std::size_t rr_cursor_ = 0;

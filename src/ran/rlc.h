@@ -74,7 +74,6 @@ public:
     // Fresh + retransmission bytes awaiting a grant.
     std::uint64_t backlog_bytes() const { return fresh_bytes_ + retx_bytes_; }
     std::size_t queued_sdus() const { return queue_.size(); }
-    std::uint64_t queued_bytes() const { return fresh_bytes_; }
 
     // Pulls up to `grant_bytes` into `out` (appends; retransmissions first).
     // Emits the F1-U transmit-status feedback when SDUs complete transmission.

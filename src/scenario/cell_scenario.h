@@ -63,7 +63,6 @@ public:
     sim::event_loop& loop() { return loop_; }
     // Ground-truth MAC transmissions, (time, bytes), per UE index (Fig. 20).
     const std::vector<std::pair<sim::tick, std::uint32_t>>& tx_log(int ue) const;
-    double sim_wallclock_events() const { return static_cast<double>(loop_.processed()); }
 
     // --- path-impairment instrumentation ---
     // Mounted stages (nullptr when the spec's knobs are all off and

@@ -14,7 +14,7 @@ namespace l4span::scenario {
 
 namespace {
 
-// --- tcp_grid (bench_fig09_tcp_grid) ----------------------------------------
+// --- tcp_grid (bench_fig09_tcp_grid, bench_fig24_bbr_reno) -------------------
 
 int run_tcp_grid(const scenario_spec& spec, const bench_args& args,
                  stats::json* summary_out)
@@ -561,6 +561,24 @@ scenario_spec builtin_scenario(const std::string& name, bool quick)
         }
         return spec;
     }
+    if (name == "fig24") {
+        spec.figure = "fig24";
+        spec.title = "Fig. 24: BBR and Reno grid";
+        spec.paper_ref = "Reno OWD -97%; BBR roughly unchanged medians (no ECN react)";
+        spec.family = "tcp_grid";
+        spec.duration = sim::from_sec(6);
+        // The Fig. 9 grid at the default 19 ms one-way wired delay only.
+        spec.tcp_grid.seed_base = 2000;
+        spec.tcp_grid.rtts_ms = {19.0};
+        spec.tcp_grid.ccas = {"bbr", "reno"};
+        if (quick) {  // 2-point CI slice: one Reno cell, with and without L4Span
+            spec.tcp_grid.queues_sdus = {256};
+            spec.tcp_grid.ue_counts = {16};
+            spec.tcp_grid.ccas = {"reno"};
+            spec.tcp_grid.channels = {"static"};
+        }
+        return spec;
+    }
     if (name == "fig16") {
         spec.figure = "fig16";
         spec.title = "Fig. 16: shared-DRB marking strategies";
@@ -685,7 +703,7 @@ scenario_spec builtin_scenario(const std::string& name, bool quick)
         return spec;
     }
     throw scenario_error("unknown builtin scenario \"" + name +
-                         "\" (valid: fig09, fig16, ecn_impairment, fault_chaos)");
+                         "\" (valid: fig09, fig24, fig16, ecn_impairment, fault_chaos)");
 }
 
 int run_scenario(const scenario_spec& spec, const bench_args& args,

@@ -1,12 +1,12 @@
 // Executes a scenario_spec: one family runner per experiment family, each
 // printing the exact banner/table/stderr output of the bench binary the
-// family grew out of and emitting the same stats::json summary. The four
-// representative benches (fig09, fig16, ecn_impairment, fault_chaos) are
-// thin wrappers over builtin_scenario() + run_scenario(), so a bench, the
-// same scenario exported to JSON and re-run through `l4span_run`, and the
-// conformance tests all print through ONE code path — byte-identity for
-// any --jobs value holds by construction and is pinned in
-// tests/test_scenario_spec.cpp.
+// family grew out of and emitting the same stats::json summary. The five
+// representative benches (fig09, fig24, fig16, ecn_impairment,
+// fault_chaos) are thin wrappers over builtin_scenario() + run_scenario(),
+// so a bench, the same scenario exported to JSON and re-run through
+// `l4span_run`, and the conformance tests all print through ONE code path —
+// byte-identity for any --jobs value holds by construction and is pinned
+// in tests/test_scenario_spec.cpp.
 #pragma once
 
 #include <string>
@@ -17,11 +17,11 @@
 
 namespace l4span::scenario {
 
-// The compiled-in scenario of a representative bench: "fig09" (tcp_grid),
-// "fig16" (shared_drb), "ecn_impairment", "fault_chaos". `quick` bakes the
-// bench's --quick slice into the returned document (grid axes and
-// duration), exactly as the bench would run it. Throws scenario_error on
-// an unknown name.
+// The compiled-in scenario of a representative bench: "fig09" and "fig24"
+// (tcp_grid), "fig16" (shared_drb), "ecn_impairment", "fault_chaos".
+// `quick` bakes the bench's --quick slice into the returned document (grid
+// axes and duration), exactly as the bench would run it. Throws
+// scenario_error on an unknown name.
 scenario_spec builtin_scenario(const std::string& name, bool quick);
 
 // Runs the scenario: banner, grid fan-out (grid_runner with args.jobs),

@@ -39,18 +39,4 @@ std::uint64_t fault_injector::injected(std::size_t cls) const
     return injected_[cls].load(std::memory_order_relaxed);
 }
 
-std::uint64_t fault_injector::armed_total() const
-{
-    std::uint64_t total = 0;
-    for (const auto v : armed_) total += v;
-    return total;
-}
-
-std::uint64_t fault_injector::injected_total() const
-{
-    std::uint64_t total = 0;
-    for (const auto& v : injected_) total += v.load(std::memory_order_relaxed);
-    return total;
-}
-
 }  // namespace l4span::sim

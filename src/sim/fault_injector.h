@@ -42,13 +42,11 @@ public:
     std::size_t num_classes() const { return armed_.size(); }
     std::uint64_t armed(std::size_t cls) const;
     std::uint64_t injected(std::size_t cls) const;  // events that have fired
-    std::uint64_t armed_total() const;
-    std::uint64_t injected_total() const;
 
 private:
     std::vector<std::uint64_t> armed_;  // mutated pre-run only
     // Incremented from whichever shard thread fires the event; relaxed
-    // atomics — the totals are read after run_until joins the workers.
+    // atomics — the counts are read after run_until joins the workers.
     std::vector<std::atomic<std::uint64_t>> injected_;
 };
 

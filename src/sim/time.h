@@ -16,7 +16,6 @@ constexpr tick from_us(double us) { return static_cast<tick>(us * k_microsecond)
 constexpr tick from_ms(double ms) { return static_cast<tick>(ms * k_millisecond); }
 constexpr tick from_sec(double s) { return static_cast<tick>(s * k_second); }
 
-constexpr double to_us(tick t) { return static_cast<double>(t) / k_microsecond; }
 constexpr double to_ms(tick t) { return static_cast<double>(t) / k_millisecond; }
 constexpr double to_sec(tick t) { return static_cast<double>(t) / k_second; }
 

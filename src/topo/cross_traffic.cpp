@@ -74,7 +74,6 @@ void cross_traffic::emit()
     p.sent_time = loop_.now();
 
     ++packets_;
-    bytes_ += p.size_bytes();
     send_(std::move(p));
 
     loop_.schedule_after(next_gap(), [this] { emit(); });

@@ -51,7 +51,6 @@ public:
     void start();
 
     std::uint64_t packets_sent() const { return packets_; }
-    std::uint64_t bytes_sent() const { return bytes_; }  // wire bytes
 
 private:
     void emit();
@@ -64,7 +63,6 @@ private:
     send_fn send_;
     sim::tick mean_gap_ = 0;
     std::uint64_t packets_ = 0;
-    std::uint64_t bytes_ = 0;
 };
 
 }  // namespace l4span::topo

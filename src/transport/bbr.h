@@ -29,7 +29,6 @@ public:
     std::string name() const override { return v2_ ? "bbr2" : "bbr"; }
 
     double bandwidth_bps() const { return max_bw_bps(); }
-    sim::tick min_rtt() const { return min_rtt_; }
 
 private:
     enum class mode { startup, drain, probe_bw, probe_rtt };

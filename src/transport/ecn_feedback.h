@@ -39,8 +39,6 @@ public:
         return delta;
     }
 
-    bool primed() const { return have_prev_; }
-
 private:
     std::uint64_t mask_;
     std::uint64_t prev_ = 0;

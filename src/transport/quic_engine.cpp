@@ -411,7 +411,6 @@ void quic_sender::maybe_finish(sim::tick now)
             loop_.cancel(pto_event_);
             pto_event_ = 0;
         }
-        if (on_done_) on_done_(now);
     }
 }
 

@@ -41,7 +41,6 @@ namespace l4span::transport {
 class quic_sender {
 public:
     using send_fn = std::function<void(net::packet)>;
-    using done_fn = std::function<void(sim::tick)>;
 
     quic_sender(sim::event_loop& loop, quic::quic_config cfg, cc_ptr cc, send_fn send);
 
@@ -61,8 +60,6 @@ public:
     // Path switch (handover): rotate to the next pre-issued connection ID.
     // No transport state is touched — that is the point of CID addressing.
     void on_path_switch();
-
-    void set_done_handler(done_fn f) { on_done_ = std::move(f); }
 
     // --- stats ---
     std::uint64_t delivered_bytes() const { return delivered_; }  // acked stream bytes
@@ -121,7 +118,6 @@ private:
     quic::quic_config cfg_;
     cc_ptr cc_;
     send_fn send_;
-    done_fn on_done_;
 
     bool established_ = false;
     bool stopped_ = false;

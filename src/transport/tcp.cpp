@@ -277,7 +277,6 @@ void tcp_sender::process_ack(const net::packet& pkt)
         finished_ = true;
         finish_time_ = now;
         if (rto_event_) loop_.cancel(rto_event_);
-        if (on_done_) on_done_(now);
         return;
     }
 

@@ -39,7 +39,6 @@ struct tcp_config {
 class tcp_sender {
 public:
     using send_fn = std::function<void(net::packet)>;
-    using done_fn = std::function<void(sim::tick)>;
 
     tcp_sender(sim::event_loop& loop, tcp_config cfg, cc_ptr cc, send_fn send);
 
@@ -53,8 +52,6 @@ public:
 
     // Receiver-to-sender path: SYNACK or ACK arrives.
     void on_packet(const net::packet& pkt);
-
-    void set_done_handler(done_fn f) { on_done_ = std::move(f); }
 
     // --- stats ---
     std::uint64_t delivered_bytes() const { return snd_una_ > 0 ? snd_una_ - 1 : 0; }
@@ -99,7 +96,6 @@ private:
     tcp_config cfg_;
     cc_ptr cc_;
     send_fn send_;
-    done_fn on_done_;
 
     bool established_ = false;
     bool stopped_ = false;

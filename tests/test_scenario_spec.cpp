@@ -61,7 +61,7 @@ run_output run_captured(const scenario_spec& spec, int jobs)
     return r;
 }
 
-const char* k_builtins[] = {"fig09", "fig16", "ecn_impairment", "fault_chaos"};
+const char* k_builtins[] = {"fig09", "fig24", "fig16", "ecn_impairment", "fault_chaos"};
 
 std::string read_fixture(const std::string& rel)
 {
