@@ -112,8 +112,7 @@ private:
         if (cap_ != 0 && (size_ + tombs_ + 1) * 8 <= cap_ * 7) return;
         // Double only when live entries need the room; under tombstone
         // pressure rehash at the same capacity instead. Erase-heavy users
-        // (the event loop's timestamp map retires ~30k buckets per simulated
-        // second) would otherwise double the table forever on dead slots.
+        // would otherwise double the table forever on dead slots.
         const std::size_t new_cap =
             cap_ == 0 ? 16 : ((size_ + 1) * 2 > cap_ ? cap_ * 2 : cap_);
         std::vector<std::uint8_t> ctrl(new_cap, k_empty);
@@ -154,18 +153,6 @@ struct u32_mix_hash {
         h *= 0x9e3779b97f4a7c15ull;
         h ^= h >> 32;
         return static_cast<std::size_t>(h);
-    }
-};
-
-// Mixer for 64-bit integer keys (event timestamps: consecutive slot
-// boundaries differ only in low bits, so both halves must diffuse).
-struct u64_mix_hash {
-    std::size_t operator()(std::uint64_t x) const
-    {
-        x ^= x >> 33;
-        x *= 0xff51afd7ed558ccdull;
-        x ^= x >> 33;
-        return static_cast<std::size_t>(x);
     }
 };
 

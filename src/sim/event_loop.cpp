@@ -4,17 +4,7 @@ namespace l4span::sim {
 
 void event_loop::run_until(tick until)
 {
-    while (!bheap_.empty()) {
-        bucket& b = buckets_[bheap_[0].bi];
-        const entry e = b.q.front();
-        if (slab_[e.slot].gen != e.gen) {  // cancelled: drop regardless of when
-            b.q.pop_front();
-            if (b.q.empty()) retire_top_bucket();
-            continue;
-        }
-        if (b.when > until) break;
-        run_one();
-    }
+    while (next_ready(until)) fire_front();
     if (now_ < until) now_ = until;
 }
 
@@ -24,72 +14,20 @@ void event_loop::run()
     }
 }
 
-void event_loop::push_new_bucket(tick when, std::uint32_t s, std::uint32_t gen)
+bool event_loop::refill(tick limit)
 {
-    std::uint32_t bi;
-    if (!bucket_free_.empty()) {
-        bi = bucket_free_.back();  // recycled ring keeps its capacity
-        bucket_free_.pop_back();
-    } else {
-        bi = static_cast<std::uint32_t>(buckets_.size());
-        buckets_.emplace_back();
-    }
-    buckets_[bi].when = when;
-    buckets_[bi].q.push_back({s, gen});
-    when_map_[when] = bi;
-    cached_bucket_ = bi;
-    bheap_push({when, bi});
-}
-
-void event_loop::retire_top_bucket()
-{
-    const std::uint32_t bi = bheap_[0].bi;
-    when_map_.erase(buckets_[bi].when);
-    if (cached_bucket_ == bi) cached_bucket_ = k_npos;
-    bucket_free_.push_back(bi);
-    bheap_pop();
-}
-
-// Both sifts move a "hole" through the tree and write the carried index once
-// at its final position — half the memory traffic of swap-based sifting.
-//
-// The tree is 4-ary: a wider node halves the number of levels a sift-down
-// touches and its four 16-byte children land in one cache line. The keys
-// (bucket timestamps) are unique among live buckets, so the comparator is a
-// strict total order and the pop sequence is fully determined — any heap
-// shape yields the same event order bit-for-bit.
-void event_loop::bheap_push(bheap_item item)
-{
-    std::size_t i = bheap_.size();
-    bheap_.push_back(item);  // grows the vector; the slot is overwritten below
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 4;
-        if (bheap_[parent].when <= item.when) break;
-        bheap_[i] = bheap_[parent];
-        i = parent;
-    }
-    bheap_[i] = item;
-}
-
-void event_loop::bheap_pop()
-{
-    const bheap_item item = bheap_.back();
-    bheap_.pop_back();
-    const std::size_t n = bheap_.size();
-    if (n == 0) return;
-    std::size_t i = 0;
-    while (true) {
-        const std::size_t first = 4 * i + 1;
-        if (first >= n) break;
-        const std::size_t last = first + 4 < n ? first + 4 : n;
-        std::size_t best = first;
-        for (std::size_t c = first + 1; c < last; ++c)
-            if (bheap_[c].when < bheap_[best].when) best = c;
-        if (bheap_[best].when >= item.when) break;
-        bheap_[i] = bheap_[best];
-        i = best;
-    }
-    bheap_[i] = item;
+    const std::uint64_t occupied = occupied_ & ~std::uint64_t{1};
+    if (occupied == 0) return false;
+    const auto b = static_cast<std::size_t>(std::countr_zero(occupied));
+    if (min_[b] > limit) return false;
+    last_ = min_[b];
+    std::vector<entry>& src = rq_[b];
+    for (const entry& e : src)
+        if (slab_[e.slot].gen == e.gen) push(e);  // cancelled entries go here
+    src.clear();
+    min_[b] = k_no_key;
+    occupied_ &= ~(std::uint64_t{1} << b);
+    return true;
 }
 
 }  // namespace l4span::sim

@@ -1,40 +1,48 @@
 // Deterministic discrete-event loop.
 //
-// Events scheduled at equal times fire in scheduling order (a monotone
-// sequence number breaks ties), so runs are reproducible bit-for-bit for a
-// given seed set.
+// Events scheduled at equal times fire in scheduling order, so runs are
+// reproducible bit-for-bit for a given seed set.
 //
 // The hot path is allocation-free: pending events live in a slab of pooled
-// records recycled through a free list, the ready queue is a bucket
-// calendar — a small 4-ary min-heap over the *distinct* pending timestamps,
-// each bucket a FIFO ring of events — and handlers are stored in a small-
+// records recycled through a free list, and handlers are stored in a small-
 // buffer-optimized `callback` whose inline buffer is sized so the
 // simulator's largest common capture (a `this` pointer plus a `net::packet`
 // by value) never touches the heap. Steady-state memory is bounded by the
 // *peak pending* event count, not by the total number of events ever
 // scheduled.
 //
-// Why a bucket calendar: the RAN schedules in slots, so pending timestamps
-// cluster hard — a busy 64-UE cell holds ~50 events per distinct tick
-// (HARQ conclusions and MAC ticks all land on slot boundaries). Pushes and
-// pops onto an existing bucket are O(1) ring operations; the heap is only
-// touched when a timestamp appears or drains, amortizing the sift cost
-// over every event sharing that tick.
+// The ready queue is a monotone radix heap (Ahuja, Mehlhorn, Orlin and
+// Tarjan, JACM 1990). It relies on the one property a simulator clock has:
+// no event is ever scheduled before the last time popped. Against that
+// time `last_`, a key goes to bucket bit_width(key ^ last_) — bucket 0
+// holds the events at exactly `last_`, bucket b those whose key first
+// differs from `last_` at bit b-1. Pushing is one append. When bucket 0 is
+// drained, the lowest occupied bucket is found with one countr_zero, its
+// stored minimum becomes `last_`, and its entries are redistributed, in
+// stored order, into strictly lower buckets; an entry moves at most 63
+// times over its life. Unlike a heap over distinct timestamps, cost does
+// not depend on how many events share a tick, so the RAN's slot-clustered
+// timestamps and the wired hops' distinct ones are equally cheap.
+//
+// Equal-time order is FIFO by construction: equal keys always share a
+// bucket, appends keep arrival order, and redistribution keeps stored
+// order — which is the (when, seq) order of a global sequence counter.
 //
 // Thread-safety contract: an event_loop is single-threaded by design — one
 // loop per thread, no internal locking. Parallel experiments give every
 // scenario its own loop (see scenario::grid_runner).
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "core/flat_table.h"
-#include "core/ring.h"
 #include "sim/time.h"
 
 namespace l4span::sim {
@@ -203,31 +211,22 @@ public:
         const auto s = static_cast<std::uint32_t>(id & 0xffffffffu);
         const auto gen = static_cast<std::uint32_t>(id >> 32);
         if (gen == 0 || s >= slab_.size() || slab_[s].gen != gen) return;
-        release_slot(s);  // the stale heap item is skipped on pop (gen mismatch)
+        release_slot(s);  // the stale queue entry is skipped on pop (gen mismatch)
         --live_;
     }
 
     // Runs a single event; returns false when the queue is empty.
     bool run_one()
     {
-        while (!bheap_.empty()) {
-            bucket& b = buckets_[bheap_[0].bi];
-            const tick when = b.when;
-            const entry e = b.q.front();
-            b.q.pop_front();
-            if (b.q.empty()) retire_top_bucket();  // b is dead past this line
-            if (slab_[e.slot].gen != e.gen) continue;  // cancelled
-            now_ = when;
-            callback fn = std::move(slab_[e.slot].fn);
-            // Free the slot before invoking: a handler that reschedules (the
-            // per-slot MAC tick, RTO rearm, ...) reuses its own record.
-            release_slot(e.slot);
-            --live_;
-            ++processed_;
-            fn();
-            return true;
+        if (!next_ready(k_no_key)) {
+            // Nothing live is left. Cancelled entries may have carried last_
+            // past now_; with the queue empty it drops back, so scheduling
+            // at now() stays legal.
+            last_ = now_;
+            return false;
         }
-        return false;
+        fire_front();
+        return true;
     }
 
     // Runs all events with time <= `until`; afterwards now() == until.
@@ -247,33 +246,24 @@ public:
 
 private:
     static constexpr std::uint32_t k_npos = 0xffffffffu;
+    static constexpr tick k_no_key = std::numeric_limits<tick>::max();
+    // Keys are non-negative int64 ticks, so key ^ last_ < 2^63 and
+    // bit_width() is at most 63: buckets 0..63.
+    static constexpr std::size_t k_buckets = 64;
 
-    // One pooled record per pending event. `when` lives in the bucket
-    // (hot during sifts); the slot only holds what fire/cancel need.
+    // One pooled record per pending event. `when` lives in the queue entry;
+    // the slot only holds what fire/cancel need.
     struct slot {
         callback fn;
         std::uint32_t gen = 1;  // parity with the id; never 0, so id 0 is invalid
         std::uint32_t next_free = k_npos;
     };
-    // A queued event: 8 bytes, POD, lives in its timestamp's FIFO ring.
+    // A queued event: 16 bytes, POD. A cancelled event's entry stays queued
+    // and is dropped when its generation no longer matches the slot's.
     struct entry {
+        tick when;
         std::uint32_t slot;
         std::uint32_t gen;
-    };
-    // All pending events sharing one timestamp. Ordering within a bucket is
-    // insertion order, and events are only ever appended — which *is* the
-    // old (when, seq) strict total order: the sequence counter was globally
-    // monotone, so arrival order at any given bucket equals seq order. The
-    // FIFO encodes the tie-break structurally and the counter is gone.
-    struct bucket {
-        tick when = 0;
-        core::ring<entry> q;
-    };
-    // Heap node: the key is copied in so sift comparisons walk only the
-    // contiguous heap array and never chase buckets_.
-    struct bheap_item {
-        tick when;
-        std::uint32_t bi;
     };
 
     static event_id make_id(std::uint32_t s, std::uint32_t gen)
@@ -294,8 +284,8 @@ private:
         return s;
     }
 
-    // Reclaims a slot: drop the handler, invalidate outstanding ids/heap
-    // items by bumping the generation, and chain onto the free list.
+    // Reclaims a slot: drop the handler, invalidate outstanding ids/queue
+    // entries by bumping the generation, and chain onto the free list.
     void release_slot(std::uint32_t s)
     {
         slot& e = slab_[s];
@@ -305,30 +295,59 @@ private:
         free_head_ = s;
     }
 
-    // Enqueues (slot, gen) at `when`. Fast path: the target bucket already
-    // exists (almost always the one the previous push hit — the RAN emits
-    // bursts of same-slot events), so the common cost is one ring append.
-    void queue_push(tick when, std::uint32_t s, std::uint32_t gen)
+    void queue_push(tick when, std::uint32_t s, std::uint32_t gen) { push({when, s, gen}); }
+
+    // Files `e` under the bucket of the highest bit where it differs from
+    // last_ (bucket 0: equal). Needs e.when >= last_, which holds because
+    // schedule_at clamps to now_ and last_ <= now_ between calls.
+    void push(const entry& e)
     {
-        if (cached_bucket_ != k_npos && buckets_[cached_bucket_].when == when) {
-            buckets_[cached_bucket_].q.push_back({s, gen});
-            return;
-        }
-        if (const std::uint32_t* bi = when_map_.find(when)) {
-            cached_bucket_ = *bi;
-            buckets_[*bi].q.push_back({s, gen});
-            return;
-        }
-        push_new_bucket(when, s, gen);
+        const auto b = static_cast<std::size_t>(
+            std::bit_width(static_cast<std::uint64_t>(e.when ^ last_)));
+        rq_[b].push_back(e);
+        if (e.when < min_[b]) min_[b] = e.when;
+        occupied_ |= std::uint64_t{1} << b;  // bit 0 and min_[0] are never read
     }
 
-    void push_new_bucket(tick when, std::uint32_t s, std::uint32_t gen);
-    // Removes the (drained) earliest bucket from the heap and the when map
-    // and recycles it. Invalidates the push cache if it pointed here — a
-    // cache hit on a retired bucket would strand events in a dead ring.
-    void retire_top_bucket();
-    void bheap_push(bheap_item item);
-    void bheap_pop();
+    // True when the front of rq_[0] is a live event at a time <= `limit`;
+    // drops cancelled entries and refills rq_[0] on the way. Never moves
+    // last_ past `limit`.
+    bool next_ready(tick limit)
+    {
+        while (true) {
+            std::vector<entry>& q = rq_[0];
+            for (; head_ < q.size(); ++head_)
+                if (slab_[q[head_].slot].gen == q[head_].gen) return last_ <= limit;
+            q.clear();
+            head_ = 0;
+            if (!refill(limit)) return false;
+        }
+    }
+
+    // Pops and runs the front of rq_[0], which next_ready() found live.
+    void fire_front()
+    {
+        std::vector<entry>& q = rq_[0];
+        const std::uint32_t s = q[head_].slot;
+        if (++head_ == q.size()) {  // keeps a zero-delay chain from growing q
+            q.clear();
+            head_ = 0;
+        }
+        now_ = last_;
+        callback fn = std::move(slab_[s].fn);
+        // Free the slot before invoking: a handler that reschedules (the
+        // per-slot MAC tick, RTO rearm, ...) reuses its own record.
+        release_slot(s);
+        --live_;
+        ++processed_;
+        fn();
+    }
+
+    // With rq_[0] empty: makes the lowest occupied bucket's minimum the new
+    // last_ and redistributes that bucket, in stored order, into strictly
+    // lower buckets (its keys all agree with the minimum above bit b-1).
+    // Returns false, changing nothing, when that minimum is past `limit`.
+    bool refill(tick limit);
 
     tick now_ = 0;
     std::size_t live_ = 0;
@@ -336,14 +355,19 @@ private:
     std::vector<slot> slab_;
     std::uint32_t free_head_ = k_npos;
 
-    // Ready queue: bheap_ is a 4-ary min-heap keyed on the bucket
-    // timestamp; live buckets have unique timestamps (the map guarantees
-    // it), so `when` alone is a strict order and no tie-break is needed.
-    std::vector<bucket> buckets_;
-    std::vector<bheap_item> bheap_;
-    std::vector<std::uint32_t> bucket_free_;
-    core::flat_table<tick, std::uint32_t, core::u64_mix_hash> when_map_;
-    std::uint32_t cached_bucket_ = k_npos;
+    // Ready queue: the radix heap. rq_[0] is a FIFO of the entries at
+    // last_, consumed from head_; rq_[b] holds keys whose highest bit
+    // differing from last_ is b-1, with minimum min_[b]; bit b of
+    // occupied_ is set while rq_[b] may be non-empty.
+    tick last_ = 0;
+    std::size_t head_ = 0;
+    std::uint64_t occupied_ = 0;
+    std::array<std::vector<entry>, k_buckets> rq_;
+    std::array<tick, k_buckets> min_ = [] {
+        std::array<tick, k_buckets> m{};
+        m.fill(k_no_key);
+        return m;
+    }();
 };
 
 }  // namespace l4span::sim
