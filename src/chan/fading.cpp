@@ -1,6 +1,7 @@
 #include "chan/fading.h"
 
 #include <cmath>
+#include <utility>
 
 namespace l4span::chan {
 
@@ -38,19 +39,24 @@ double fading_channel::snr_db(sim::tick t)
         return snr_db_;
     }
     // Ornstein-Uhlenbeck (Gauss-Markov) update with correlation
-    // rho = exp(-dt / coherence). The channel is sampled once per slot, so
-    // dt is the slot period on almost every call: memoize (rho, noise_sigma)
-    // per dt — identical inputs give identical doubles, so the memo changes
-    // nothing observable, it only skips the exp/sqrt.
+    // rho = exp(-dt / coherence). A backlogged UE is sampled in DL slots, so
+    // dt is one or two slot periods on almost every call: memoize
+    // (rho, noise_sigma) for the last two dt — identical inputs give
+    // identical doubles, so the memo changes nothing observable, it only
+    // skips the exp/sqrt.
     const sim::tick dt_ticks = t - last_;
-    if (dt_ticks != memo_dt_) {
-        const double dt = static_cast<double>(dt_ticks);
-        memo_rho_ = std::exp(-dt / static_cast<double>(profile_.coherence));
-        memo_sigma_ = profile_.sigma_db * std::sqrt(1.0 - memo_rho_ * memo_rho_);
-        memo_dt_ = dt_ticks;
+    if (memo_[0].dt != dt_ticks) {
+        if (memo_[1].dt == dt_ticks) {
+            std::swap(memo_[0], memo_[1]);
+        } else {
+            memo_[1] = memo_[0];
+            const double dt = static_cast<double>(dt_ticks);
+            const double rho = std::exp(-dt / static_cast<double>(profile_.coherence));
+            memo_[0] = {dt_ticks, rho, profile_.sigma_db * std::sqrt(1.0 - rho * rho)};
+        }
     }
-    const double rho = memo_rho_;
-    const double noise_sigma = memo_sigma_;
+    const double rho = memo_[0].rho;
+    const double noise_sigma = memo_[0].sigma;
     snr_db_ = profile_.mean_snr_db + rho * (snr_db_ - profile_.mean_snr_db) +
               rng_.normal(0.0, noise_sigma);
     last_ = t;

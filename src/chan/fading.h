@@ -19,6 +19,8 @@ public:
     // SNR at time `t`; advances the process (t must be non-decreasing).
     double snr_db(sim::tick t) override;
 
+    int mcs(sim::tick t) override { return mcs_ = mcs_from_snr(snr_db(t), mcs_); }
+
     const channel_profile& profile() const override { return profile_; }
 
 private:
@@ -26,11 +28,16 @@ private:
     sim::rng rng_;
     double snr_db_;
     sim::tick last_ = 0;
-    // Memoized OU step coefficients for the last-seen dt (the slot period
-    // in steady state, so the exp/sqrt run once, not once per sample).
-    sim::tick memo_dt_ = -1;
-    double memo_rho_ = 0.0;
-    double memo_sigma_ = 0.0;
+    int mcs_ = -1;  // last mcs() result: the next query's first guess
+    // Memoized OU step coefficients for the two most recent distinct dt, so
+    // the exp/sqrt run once per dt, not once per sample. Two because a
+    // backlogged UE under DDDSU is queried 1, 1, 1, then 2 slots apart.
+    struct ou_step {
+        sim::tick dt = -1;
+        double rho = 0.0;
+        double sigma = 0.0;
+    };
+    ou_step memo_[2];
 };
 
 }  // namespace l4span::chan

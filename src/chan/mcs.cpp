@@ -33,6 +33,18 @@ int mcs_from_snr(double snr_db)
     return best;
 }
 
+int mcs_from_snr(double snr_db, int hint)
+{
+    // Inside [threshold(hint), threshold(hint + 1)) the scan would stop at
+    // hint. A NaN fails every comparison and takes the scan, as before.
+    if (hint >= -1 && hint < k_num_mcs &&
+        (hint < 0 || snr_db >= k_table[static_cast<std::size_t>(hint)].min_snr_db) &&
+        (hint + 1 == k_num_mcs ||
+         snr_db < k_table[static_cast<std::size_t>(hint + 1)].min_snr_db))
+        return hint;
+    return mcs_from_snr(snr_db);
+}
+
 double spectral_efficiency(int mcs)
 {
     if (mcs < 0) return 0.0;

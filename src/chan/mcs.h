@@ -21,6 +21,10 @@ struct mcs_entry {
 // Highest MCS whose SNR threshold is satisfied; -1 when below MCS0 (no tx).
 int mcs_from_snr(double snr_db);
 
+// The same value, testing `hint`'s threshold bracket before the table scan:
+// a slowly moving SNR usually keeps the previous slot's MCS.
+int mcs_from_snr(double snr_db, int hint);
+
 double spectral_efficiency(int mcs);
 
 // Lowest SNR at which `mcs` is selected (the table threshold); for -1 (no

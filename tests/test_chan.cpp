@@ -1,6 +1,10 @@
 // MCS tables and fading channel statistics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "chan/fading.h"
 #include "chan/mcs.h"
 
@@ -17,6 +21,25 @@ TEST(mcs, monotone_in_snr)
     }
     EXPECT_EQ(mcs_from_snr(-10.0), -1);
     EXPECT_EQ(mcs_from_snr(30.0), k_num_mcs - 1);
+}
+
+TEST(mcs, hinted_lookup_matches_the_scan)
+{
+    // Every hint, including out-of-range ones, against SNRs on, just below
+    // and between the thresholds, the extremes and NaN.
+    std::vector<double> snrs = {-1e9, 1e9, std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+    for (int m = -1; m < k_num_mcs; ++m) {
+        const double thr = min_snr_db(m);
+        snrs.push_back(thr);
+        snrs.push_back(std::nextafter(thr, -1e9));
+        snrs.push_back(thr + 0.37);
+    }
+    for (int hint = -3; hint <= k_num_mcs + 1; ++hint)
+        for (const double snr : snrs)
+            EXPECT_EQ(mcs_from_snr(snr, hint), mcs_from_snr(snr))
+                << "snr " << snr << " hint " << hint;
 }
 
 TEST(mcs, spectral_efficiency_monotone)
@@ -83,6 +106,29 @@ TEST(fading, vehicular_varies_faster_than_pedestrian)
     };
     EXPECT_GT(roughness(channel_profile::vehicular(), 3),
               2.0 * roughness(channel_profile::pedestrian(), 3));
+}
+
+TEST(fading, memoized_steps_and_mcs_match_the_direct_process)
+{
+    // Query gaps as a backlogged UE sees them under DDDSU (1, 1, 1, 2
+    // slots), then irregular ones, against an unmemoized OU recursion on the
+    // same seed: every SNR and MCS must be bit-identical.
+    const channel_profile p = channel_profile::mobile(12.0);
+    fading_channel ch(p, sim::rng(9));
+    sim::rng ref_rng(9);
+    double ref = p.mean_snr_db;
+    sim::tick t = 0;
+    const sim::tick slot = sim::from_us(500);
+    for (int i = 0; i < 4000; ++i) {
+        const sim::tick dt = i < 2000 ? (i % 4 == 3 ? 2 : 1) * slot
+                                      : ((i * 7919) % 13 + 1) * slot / 3;
+        t += dt;
+        const double rho = std::exp(-static_cast<double>(dt) / static_cast<double>(p.coherence));
+        ref = p.mean_snr_db + rho * (ref - p.mean_snr_db) +
+              ref_rng.normal(0.0, p.sigma_db * std::sqrt(1.0 - rho * rho));
+        ASSERT_EQ(ch.mcs(t), mcs_from_snr(ref)) << "query " << i;
+        ASSERT_EQ(ch.snr_db(t), ref) << "query " << i;
+    }
 }
 
 TEST(fading, time_must_not_rewind_state)
