@@ -1,9 +1,9 @@
 #include "chan/trace_io.h"
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 #include "stats/json.h"  // stats::write_text_file
 
@@ -22,6 +22,10 @@ constexpr std::int64_t k_max_timestamp_us = std::int64_t{1} << 52;
 }
 
 // Strict integer field parse: the whole field must be one decimal number.
+// After the trim this accepts exactly what strtoll(base 10) consuming the
+// whole field did: leading isspace() characters, one optional sign, decimal
+// digits, in range. Fields of 32+ characters stay rejected (strtoll ran on a
+// fixed buffer).
 bool parse_int(std::string_view field, std::int64_t& out)
 {
     // Trim ASCII whitespace (CR from CRLF files lands here too).
@@ -31,15 +35,20 @@ bool parse_int(std::string_view field, std::int64_t& out)
     while (!field.empty() && (field.back() == ' ' || field.back() == '\t' ||
                               field.back() == '\r'))
         field.remove_suffix(1);
-    if (field.empty()) return false;
-    char buf[32];
-    if (field.size() >= sizeof(buf)) return false;
-    std::copy(field.begin(), field.end(), buf);
-    buf[field.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(buf, &end, 10);
-    if (errno != 0 || end != buf + field.size()) return false;
+    if (field.empty() || field.size() >= 32) return false;
+    while (!field.empty() && (field.front() == '\v' || field.front() == '\f' ||
+                              field.front() == '\n' || field.front() == ' ' ||
+                              field.front() == '\t' || field.front() == '\r'))
+        field.remove_prefix(1);
+    // from_chars takes '-' but not '+'; "+-1" must stay rejected.
+    if (!field.empty() && field.front() == '+') {
+        field.remove_prefix(1);
+        if (!field.empty() && field.front() == '-') return false;
+    }
+    const char* const end = field.data() + field.size();
+    std::int64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(field.data(), end, v);
+    if (ec != std::errc{} || ptr != end) return false;
     out = v;
     return true;
 }

@@ -5,7 +5,11 @@
 // round-trip exactly through both the CSV and the binary codec.
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstdlib>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "chan/trace_io.h"
 #include "sim/rng.h"
@@ -51,7 +55,98 @@ void check_clamped(const trace_data& t)
     EXPECT_FALSE(t.records.empty());
 }
 
+// What parse_trace_csv makes of `field` as the timestamp of a one-record
+// trace: the value in microseconds, or which check turned it away.
+std::string timestamp_outcome(const std::string& field)
+{
+    try {
+        const trace_data t = parse_trace_csv(field + ",5,10,100\n", "field");
+        return std::to_string(t.records[0].timestamp / sim::k_microsecond);
+    } catch (const trace_parse_error& e) {
+        const std::string msg = e.what();
+        if (msg.find("is not an integer") != std::string::npos) return "reject";
+        if (msg.find("negative timestamp") != std::string::npos) return "negative";
+        if (msg.find("too large") != std::string::npos) return "too large";
+        return msg;
+    }
+}
+
+// The same classification from the field parser's original definition:
+// trim ' ', '\t', '\r', a field of 32+ characters is rejected, the rest must
+// be consumed whole by strtoll(base 10) without ERANGE.
+std::string strtoll_outcome(std::string_view field)
+{
+    while (!field.empty() && (field.front() == ' ' || field.front() == '\t' ||
+                              field.front() == '\r'))
+        field.remove_prefix(1);
+    while (!field.empty() && (field.back() == ' ' || field.back() == '\t' ||
+                              field.back() == '\r'))
+        field.remove_suffix(1);
+    if (field.empty() || field.size() >= 32) return "reject";
+    const std::string buf(field);
+    char* end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(buf.c_str(), &end, 10);
+    if (errno != 0 || end != buf.c_str() + buf.size()) return "reject";
+    if (v < 0) return "negative";
+    if (v > (std::int64_t{1} << 52)) return "too large";
+    return std::to_string(v);
+}
+
 }  // namespace
+
+TEST(trace_fuzz, csv_integer_fields_match_strtoll_table)
+{
+    const std::pair<std::string, std::string> table[] = {
+        {"+5", "5"},
+        {"-1", "negative"},
+        {"+-1", "reject"},
+        {"--1", "reject"},
+        {"-+1", "reject"},
+        {"+", "reject"},
+        {"-", "reject"},
+        {"\v7", "7"},
+        {"\f\v+7", "7"},
+        {"\v-3", "negative"},
+        {"7\v", "reject"},
+        {"007", "7"},
+        {"-0", "0"},
+        {"4503599627370496", "4503599627370496"},  // 2^52 us: the largest timestamp
+        {"4503599627370497", "too large"},
+        {"9223372036854775807", "too large"},
+        {"9223372036854775808", "reject"},  // ERANGE
+        {"-9223372036854775808", "negative"},
+        {"-9223372036854775809", "reject"},
+        {"0x10", "reject"},
+        {"1e3", "reject"},
+        {"1.0", "reject"},
+        {"5 ", "5"},
+        {"\t 5\t", "5"},
+        {"- 1", "reject"},
+        {"", "reject"},
+        {std::string(30, '0') + "5", "5"},       // 31 characters
+        {std::string(31, '0') + "5", "reject"},  // 32 characters
+    };
+    for (const auto& [field, expect] : table) {
+        EXPECT_EQ(timestamp_outcome(field), expect) << "field \"" << field << "\"";
+        EXPECT_EQ(strtoll_outcome(field), expect) << "field \"" << field << "\"";
+    }
+}
+
+TEST(trace_fuzz, csv_integer_fields_match_strtoll_random)
+{
+    sim::rng rng(20261017);
+    const std::string alphabet = "0123456789999+-- \t\v\f\rxe.";
+    for (int i = 0; i < 20000; ++i) {
+        const auto n = static_cast<std::size_t>(rng.uniform_int(0, 24));
+        std::string field(n, '0');
+        for (auto& c : field)
+            c = alphabet[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(alphabet.size()) - 1))];
+        ASSERT_EQ(timestamp_outcome(field), strtoll_outcome(field))
+            << "field \"" << field << "\"";
+    }
+}
 
 TEST(trace_fuzz, csv_roundtrip_is_exact)
 {
