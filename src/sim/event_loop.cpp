@@ -22,8 +22,7 @@ bool event_loop::refill(tick limit)
     if (min_[b] > limit) return false;
     last_ = min_[b];
     std::vector<entry>& src = rq_[b];
-    for (const entry& e : src)
-        if (slab_[e.slot].gen == e.gen) push(e);  // cancelled entries go here
+    for (const entry& e : src) push(e);
     src.clear();
     min_[b] = k_no_key;
     occupied_ &= ~(std::uint64_t{1} << b);

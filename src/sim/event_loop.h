@@ -259,7 +259,8 @@ private:
         std::uint32_t next_free = k_npos;
     };
     // A queued event: 16 bytes, POD. A cancelled event's entry stays queued
-    // and is dropped when its generation no longer matches the slot's.
+    // (redistribution moves it without looking at the slab) and is dropped
+    // when it reaches the front of rq_[0] with a stale generation.
     struct entry {
         tick when;
         std::uint32_t slot;
