@@ -12,21 +12,12 @@
 // scheduled.
 //
 // The ready queue is a monotone radix heap (Ahuja, Mehlhorn, Orlin and
-// Tarjan, JACM 1990). It relies on the one property a simulator clock has:
-// no event is ever scheduled before the last time popped. Against that
-// time `last_`, a key goes to bucket bit_width(key ^ last_) — bucket 0
-// holds the events at exactly `last_`, bucket b those whose key first
-// differs from `last_` at bit b-1. Pushing is one append. When bucket 0 is
-// drained, the lowest occupied bucket is found with one countr_zero, its
-// stored minimum becomes `last_`, and its entries are redistributed, in
-// stored order, into strictly lower buckets; an entry moves at most 63
-// times over its life. Unlike a heap over distinct timestamps, cost does
-// not depend on how many events share a tick, so the RAN's slot-clustered
-// timestamps and the wired hops' distinct ones are equally cheap.
-//
-// Equal-time order is FIFO by construction: equal keys always share a
-// bucket, appends keep arrival order, and redistribution keeps stored
-// order — which is the (when, seq) order of a global sequence counter.
+// Tarjan, JACM 1990). Nothing is scheduled before the last time popped,
+// `last_`, so a key is filed under bucket bit_width(key ^ last_) and only
+// the lowest occupied bucket is ever redistributed; the cost does not depend
+// on how many events share a timestamp. Equal keys always share a bucket and
+// no step reorders a bucket, so equal-time events stay FIFO: the old
+// (when, seq) order. See ARCHITECTURE.md, "The event loop".
 //
 // Thread-safety contract: an event_loop is single-threaded by design — one
 // loop per thread, no internal locking. Parallel experiments give every
@@ -164,7 +155,7 @@ public:
     using handler = callback;
     using event_id = std::uint64_t;
 
-    event_loop() = default;
+    event_loop() { min_.fill(k_no_key); }
     event_loop(const event_loop&) = delete;
     event_loop& operator=(const event_loop&) = delete;
 
@@ -179,7 +170,7 @@ public:
         const std::uint32_t s = alloc_slot();
         slot& e = slab_[s];
         e.fn.emplace(std::forward<F>(fn));
-        queue_push(when < now_ ? now_ : when, s, e.gen);
+        push({when < now_ ? now_ : when, s, e.gen});
         ++live_;
         return make_id(s, e.gen);
     }
@@ -188,7 +179,7 @@ public:
         const std::uint32_t s = alloc_slot();
         slot& e = slab_[s];
         e.fn = std::move(fn);
-        queue_push(when < now_ ? now_ : when, s, e.gen);
+        push({when < now_ ? now_ : when, s, e.gen});
         ++live_;
         return make_id(s, e.gen);
     }
@@ -296,8 +287,6 @@ private:
         free_head_ = s;
     }
 
-    void queue_push(tick when, std::uint32_t s, std::uint32_t gen) { push({when, s, gen}); }
-
     // Files `e` under the bucket of the highest bit where it differs from
     // last_ (bucket 0: equal). Needs e.when >= last_, which holds because
     // schedule_at clamps to now_ and last_ <= now_ between calls.
@@ -358,17 +347,13 @@ private:
 
     // Ready queue: the radix heap. rq_[0] is a FIFO of the entries at
     // last_, consumed from head_; rq_[b] holds keys whose highest bit
-    // differing from last_ is b-1, with minimum min_[b]; bit b of
-    // occupied_ is set while rq_[b] may be non-empty.
+    // differing from last_ is b-1, with minimum min_[b]; for b >= 1, bit b
+    // of occupied_ is set exactly when rq_[b] is non-empty.
     tick last_ = 0;
     std::size_t head_ = 0;
     std::uint64_t occupied_ = 0;
     std::array<std::vector<entry>, k_buckets> rq_;
-    std::array<tick, k_buckets> min_ = [] {
-        std::array<tick, k_buckets> m{};
-        m.fill(k_no_key);
-        return m;
-    }();
+    std::array<tick, k_buckets> min_;
 };
 
 }  // namespace l4span::sim
