@@ -1,7 +1,7 @@
 // Byte-identity regression harness for the hot-path memory-layout work.
 //
 // Every layout optimization (packet arena, SN rings, flat tables, SoA
-// profile table, bucket-calendar event queue) argues it cannot change
+// profile table, radix-heap event queue) argues it cannot change
 // simulation output; this suite pins that argument down executably. A
 // fig09-style congested-cell grid is rendered to its full formatted table
 // serially and through the thread pool, and the two strings must match

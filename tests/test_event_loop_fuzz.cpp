@@ -364,7 +364,8 @@ TEST(event_loop_fuzz, matches_reference_order_long_runs)
 }
 
 // The zero-delay livelock shape: one handler re-arming itself at now()
-// many times must keep firing in order with bounded memory.
+// many times must keep firing in order, from one reused slab slot, without
+// the clock moving.
 TEST(event_loop_fuzz, zero_delay_chain_stays_bounded)
 {
     event_loop loop;
