@@ -6,7 +6,7 @@ namespace l4span::aqm {
 
 bool codel_queue::enqueue(net::packet p, sim::tick now)
 {
-    if (bytes_ + p.size_bytes() > cfg_.max_bytes) {
+    if (bytes_ + p.size_bytes() > k_codel_max_bytes) {
         ++drops_;
         trace(now, obs::point::aqm_drop, obs::reason::queue_overflow, p);
         return false;
@@ -18,7 +18,7 @@ bool codel_queue::enqueue(net::packet p, sim::tick now)
 
 sim::tick codel_queue::control_law(sim::tick t) const
 {
-    return t + static_cast<sim::tick>(static_cast<double>(cfg_.interval) /
+    return t + static_cast<sim::tick>(static_cast<double>(k_codel_interval) /
                                       std::sqrt(static_cast<double>(count_)));
 }
 
@@ -37,12 +37,12 @@ bool codel_queue::act_on(net::packet& p, sim::tick now)
 
 bool codel_queue::should_act(sim::tick sojourn, sim::tick now)
 {
-    if (sojourn < cfg_.target || bytes_ <= 5 * 1500) {
+    if (sojourn < k_codel_target || bytes_ <= 5 * 1500) {
         first_above_time_ = 0;
         return false;
     }
     if (first_above_time_ == 0) {
-        first_above_time_ = now + cfg_.interval;
+        first_above_time_ = now + k_codel_interval;
         return false;
     }
     return now >= first_above_time_;
@@ -61,7 +61,7 @@ std::optional<net::packet> codel_queue::dequeue(sim::tick now)
             // every packet above target is marked. On a bursty RLC drain the
             // sojourn crosses the fixed threshold constantly, which is the
             // under-utilization the L4Span paper measures (§6.2.2).
-            if (sojourn >= cfg_.target && net::is_ect(it.pkt.ecn_field)) {
+            if (sojourn >= k_codel_target && net::is_ect(it.pkt.ecn_field)) {
                 it.pkt.ecn_field = net::ecn::ce;
                 ++marks_;
                 trace(now, obs::point::aqm_mark, obs::reason::codel_mark, it.pkt);
@@ -70,7 +70,7 @@ std::optional<net::packet> codel_queue::dequeue(sim::tick now)
         }
 
         if (dropping_) {
-            if (sojourn < cfg_.target) {
+            if (sojourn < k_codel_target) {
                 dropping_ = false;
                 return it.pkt;
             }
@@ -85,7 +85,8 @@ std::optional<net::packet> codel_queue::dequeue(sim::tick now)
         if (should_act(sojourn, now)) {
             dropping_ = true;
             // Resume at a higher rate if we were recently dropping.
-            count_ = (count_ > 2 && now - drop_next_ < 8 * cfg_.interval) ? count_ - 2 : 1;
+            count_ =
+                (count_ > 2 && now - drop_next_ < 8 * k_codel_interval) ? count_ - 2 : 1;
             last_count_ = count_;
             drop_next_ = control_law(now);
             if (act_on(it.pkt, now)) continue;

@@ -11,11 +11,12 @@
 
 namespace l4span::aqm {
 
+inline constexpr sim::tick k_codel_target = sim::from_ms(5);
+inline constexpr sim::tick k_codel_interval = sim::from_ms(100);
+inline constexpr std::size_t k_codel_max_bytes = 1 << 24;
+
 struct codel_config {
-    sim::tick target = sim::from_ms(5);
-    sim::tick interval = sim::from_ms(100);
-    bool ecn_mode = false;          // true: mark ECT packets instead of dropping
-    std::size_t max_bytes = 1 << 24;
+    bool ecn_mode = false;  // true: mark ECT packets instead of dropping
 };
 
 class codel_queue : public queue_discipline {

@@ -26,15 +26,15 @@ bool dualpi2_queue::enqueue(net::packet p, sim::tick now)
 
 void dualpi2_queue::maybe_update(sim::tick now)
 {
-    while (now - last_update_ >= cfg_.t_update) {
-        last_update_ += cfg_.t_update;
+    while (now - last_update_ >= k_pi2_t_update) {
+        last_update_ += k_pi2_t_update;
         // PI control on the classic queue sojourn (estimated from head age).
         // Gains follow RFC 9332: applied once per t_update against the
         // sojourn error in seconds.
         const sim::tick sojourn = cq_.empty() ? 0 : (last_update_ - cq_.front().enq_time);
-        const double err_s = sim::to_sec(sojourn - cfg_.target);
+        const double err_s = sim::to_sec(sojourn - k_pi2_target);
         const double delta_s = sim::to_sec(sojourn - prev_sojourn_);
-        p_prime_ += cfg_.alpha * err_s + cfg_.beta * delta_s;
+        p_prime_ += k_pi2_alpha * err_s + k_pi2_beta * delta_s;
         p_prime_ = std::clamp(p_prime_, 0.0, 1.0);
         prev_sojourn_ = sojourn;
     }
@@ -56,8 +56,8 @@ std::optional<net::packet> dualpi2_queue::dequeue(sim::tick now)
             bytes_l_ -= it.pkt.size_bytes();
             const sim::tick sojourn = now - it.enq_time;
             // Native L4S marking: step threshold OR coupled probability.
-            const double p_cl = std::min(1.0, cfg_.coupling * p_prime_);
-            if (sojourn > cfg_.l4s_step || rng_.bernoulli(p_cl)) {
+            const double p_cl = std::min(1.0, k_coupling * p_prime_);
+            if (sojourn > k_l4s_step || rng_.bernoulli(p_cl)) {
                 if (net::is_ect(it.pkt.ecn_field) || net::is_ce(it.pkt.ecn_field)) {
                     it.pkt.ecn_field = net::ecn::ce;
                     ++marks_;

@@ -13,13 +13,16 @@
 
 namespace l4span::aqm {
 
+// RFC 9332 DualPI2 constants, shared by the wired queue below and the
+// CU-side transplant (scenario::dualpi2_ran_hook).
+inline constexpr sim::tick k_pi2_target = sim::from_ms(15);  // classic queue delay target
+inline constexpr sim::tick k_pi2_t_update = sim::from_ms(16);  // PI update period
+inline constexpr double k_pi2_alpha = 0.16;  // PI integral gain (per update, /s units)
+inline constexpr double k_pi2_beta = 3.2;    // PI proportional gain
+inline constexpr double k_coupling = 2.0;    // k: p_CL = k * p'
+inline constexpr sim::tick k_l4s_step = sim::from_ms(1);  // L4S step-marking threshold
+
 struct dualpi2_config {
-    sim::tick target = sim::from_ms(15);       // classic queue delay target
-    sim::tick l4s_step = sim::from_ms(1);      // L4S step-marking threshold
-    sim::tick t_update = sim::from_ms(16);     // PI update period
-    double alpha = 0.16;                       // PI integral gain (per update, /s units)
-    double beta = 3.2;                         // PI proportional gain
-    double coupling = 2.0;                     // k: p_CL = k * p'
     std::size_t max_bytes = 1 << 24;
     std::uint64_t seed = 42;
 };

@@ -77,35 +77,6 @@ void require_records(const trace_data& t)
                                 "`timestamp_us,mcs,prbs,tbs_bytes` line");
 }
 
-// --- binary helpers (explicit little-endian) --------------------------------
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-constexpr std::size_t k_bin_header = 24;  // magic + version + count + duration
-constexpr std::size_t k_bin_record = 24;
-
 }  // namespace
 
 trace_data parse_trace_csv(std::string_view text, const std::string& name)
@@ -199,87 +170,14 @@ std::string to_trace_csv(const trace_data& t)
     return out;
 }
 
-trace_data parse_trace_binary(const std::uint8_t* data, std::size_t size,
-                              const std::string& name)
-{
-    if (size < k_bin_header)
-        throw trace_parse_error("trace \"" + name + "\": truncated binary header (" +
-                                std::to_string(size) + " bytes, need 24)");
-    if (!(data[0] == 'L' && data[1] == '4' && data[2] == 'D' && data[3] == 'T'))
-        throw trace_parse_error("trace \"" + name + "\": bad magic (not an L4DT trace)");
-    const std::uint32_t version = get_u32(data + 4);
-    if (version != 1)
-        throw trace_parse_error("trace \"" + name + "\": unsupported version " +
-                                std::to_string(version) + " (have 1)");
-    // Divide instead of multiplying so an absurd declared count cannot wrap
-    // the size check (and then blow up the reserve below).
-    const std::uint64_t count = get_u64(data + 8);
-    const std::uint64_t payload = size - k_bin_header;
-    if (payload % k_bin_record != 0 || count != payload / k_bin_record)
-        throw trace_parse_error(
-            "trace \"" + name + "\": size mismatch — header declares " +
-            std::to_string(count) + " records but the payload holds " +
-            std::to_string(payload / k_bin_record));
-
-    trace_data t;
-    t.name = name;
-    const auto duration = static_cast<sim::tick>(get_u64(data + 16));
-    t.duration = duration > 0 ? duration : 0;
-    t.records.reserve(count);
-    sim::tick prev_ts = -1;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint8_t* p = data + k_bin_header + i * k_bin_record;
-        dci_record r;
-        r.timestamp = static_cast<sim::tick>(get_u64(p));
-        if (r.timestamp < 0)
-            throw trace_parse_error("trace \"" + name + "\" record " +
-                                    std::to_string(i) + ": negative timestamp");
-        if (r.timestamp <= prev_ts)
-            throw trace_parse_error("trace \"" + name + "\" record " +
-                                    std::to_string(i) +
-                                    ": timestamps must be strictly increasing");
-        prev_ts = r.timestamp;
-        r.mcs = clamp_mcs(static_cast<std::int32_t>(get_u32(p + 8)));
-        r.prbs = clamp_prbs(static_cast<std::int32_t>(get_u32(p + 12)));
-        r.tbs = get_u32(p + 16);
-        t.records.push_back(r);
-    }
-    require_records(t);
-    if (t.duration > 0 && t.duration <= t.records.back().timestamp)
-        throw trace_parse_error("trace \"" + name +
-                                "\": duration must exceed the last record timestamp");
-    return t;
-}
-
-std::vector<std::uint8_t> to_trace_binary(const trace_data& t)
-{
-    std::vector<std::uint8_t> out;
-    out.reserve(k_bin_header + t.records.size() * k_bin_record);
-    out.push_back('L');
-    out.push_back('4');
-    out.push_back('D');
-    out.push_back('T');
-    put_u32(out, 1);
-    put_u64(out, t.records.size());
-    put_u64(out, static_cast<std::uint64_t>(t.duration));
-    for (const auto& r : t.records) {
-        put_u64(out, static_cast<std::uint64_t>(r.timestamp));
-        put_u32(out, static_cast<std::uint32_t>(r.mcs));
-        put_u32(out, static_cast<std::uint32_t>(r.prbs));
-        put_u32(out, r.tbs);
-        put_u32(out, 0);  // reserved
-    }
-    return out;
-}
-
 std::shared_ptr<const trace_data> load_trace_file(const std::string& path)
 {
     std::FILE* f = std::fopen(path.c_str(), "rb");
     if (!f)
         throw std::invalid_argument(
             "cannot open trace file \"" + path +
-            "\" — expected an existing CSV (timestamp_us,mcs,prbs,tbs_bytes) or "
-            ".l4dt binary DCI trace; see traces/ for committed examples and "
+            "\" — expected an existing CSV (timestamp_us,mcs,prbs,tbs_bytes) DCI "
+            "trace; see traces/ for committed examples and "
             "scripts/gen_traces.py to generate more");
     std::string bytes;
     char buf[1 << 16];
@@ -294,59 +192,12 @@ std::shared_ptr<const trace_data> load_trace_file(const std::string& path)
     const std::size_t dot = name.find_last_of('.');
     if (dot != std::string::npos && dot > 0) name = name.substr(0, dot);
 
-    if (bytes.rfind("L4DT", 0) == 0)
-        return std::make_shared<trace_data>(parse_trace_binary(
-            reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size(), name));
     return std::make_shared<trace_data>(parse_trace_csv(bytes, name));
 }
 
 bool save_trace_csv(const std::string& path, const trace_data& t)
 {
     return stats::write_text_file(path, to_trace_csv(t));
-}
-
-bool save_trace_binary(const std::string& path, const trace_data& t)
-{
-    const auto bytes = to_trace_binary(t);
-    return stats::write_text_file(
-        path, std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
-}
-
-void trace_recorder::on_link_slot(std::uint32_t ue, sim::tick now, int mcs, int prbs,
-                                  std::uint32_t tbs)
-{
-    dci_record r;
-    r.timestamp = now;
-    r.mcs = mcs;
-    r.prbs = prbs;
-    r.tbs = tbs;
-    by_ue_[ue].push_back(r);
-}
-
-std::vector<std::uint32_t> trace_recorder::ues() const
-{
-    std::vector<std::uint32_t> out;
-    out.reserve(by_ue_.size());
-    for (const auto& [ue, recs] : by_ue_) out.push_back(ue);
-    return out;
-}
-
-std::size_t trace_recorder::records_of(std::uint32_t ue) const
-{
-    const auto it = by_ue_.find(ue);
-    return it == by_ue_.end() ? 0 : it->second.size();
-}
-
-trace_data trace_recorder::trace_of(std::uint32_t ue, std::string name) const
-{
-    const auto it = by_ue_.find(ue);
-    if (it == by_ue_.end())
-        throw std::out_of_range("trace_recorder: no records for UE key " +
-                                std::to_string(ue));
-    trace_data t;
-    t.name = std::move(name);
-    t.records = it->second;
-    return t;
 }
 
 }  // namespace l4span::chan

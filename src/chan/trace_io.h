@@ -1,6 +1,5 @@
-// Trace codec + recorder for chan::trace_channel.
-//
-// CSV (human-editable, what NR-Scope post-processing emits):
+// CSV trace codec for chan::trace_channel (human-editable, what NR-Scope
+// post-processing emits):
 //   # comment                         — ignored; `# duration_us=N` sets the
 //                                       loop period explicitly
 //   timestamp_us,mcs,prbs,tbs_bytes   — optional header line, skipped
@@ -10,19 +9,12 @@
 // is clamped into [-1, 27] and PRBs into [0, 275]. Anything else —
 // malformed fields, out-of-order timestamps, a truncated record — throws
 // trace_parse_error naming the offending line, never crashes or hangs.
-//
-// Binary (.l4dt, lossless nanosecond timestamps): "L4DT" magic, u32
-// version, u64 record count, i64 duration_ns, then 24-byte little-endian
-// records {i64 timestamp_ns, i32 mcs, i32 prbs, u32 tbs, u32 reserved}.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "chan/trace_channel.h"
 
@@ -36,39 +28,12 @@ public:
 trace_data parse_trace_csv(std::string_view text, const std::string& name);
 std::string to_trace_csv(const trace_data& t);
 
-trace_data parse_trace_binary(const std::uint8_t* data, std::size_t size,
-                              const std::string& name);
-std::vector<std::uint8_t> to_trace_binary(const trace_data& t);
-
-// Reads `path` and dispatches on content (the "L4DT" magic selects the
-// binary codec, anything else parses as CSV). Throws std::invalid_argument
-// with the path and the expected formats when the file cannot be opened;
-// parse failures propagate as trace_parse_error.
+// Reads and parses the CSV trace at `path`, named after its basename.
+// Throws std::invalid_argument with the path and the expected format when
+// the file cannot be opened; parse failures propagate as trace_parse_error.
 std::shared_ptr<const trace_data> load_trace_file(const std::string& path);
 
 // False on I/O failure (mirrors stats::write_text_file).
 bool save_trace_csv(const std::string& path, const trace_data& t);
-bool save_trace_binary(const std::string& path, const trace_data& t);
-
-// Captures a live run into replayable traces: plug `on_link_slot` into
-// ran::gnb::set_linklog_handler (or any per-slot DCI source). `ue` is a
-// caller-defined stream key — a test stitching a UE across an X2/Xn
-// handover maps both RNTIs onto one key. Replaying a recorded trace
-// through trace_channel reproduces the recorded run bit-identically (see
-// ARCHITECTURE.md, "Trace-driven channels").
-class trace_recorder {
-public:
-    void on_link_slot(std::uint32_t ue, sim::tick now, int mcs, int prbs,
-                      std::uint32_t tbs);
-
-    std::vector<std::uint32_t> ues() const;  // sorted
-    std::size_t records_of(std::uint32_t ue) const;
-    // Snapshot of the UE's stream so far; throws std::out_of_range for a
-    // key that never logged.
-    trace_data trace_of(std::uint32_t ue, std::string name = "recorded") const;
-
-private:
-    std::map<std::uint32_t, std::vector<dci_record>> by_ue_;
-};
 
 }  // namespace l4span::chan

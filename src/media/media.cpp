@@ -28,13 +28,13 @@ void media_sender::emit()
     p.flow_id = cfg_.flow_id;
     p.pkt_id = ++pkt_counter_;
     p.sent_time = loop_.now();
-    p.payload_bytes = cfg_.packet_bytes;
+    p.payload_bytes = k_packet_bytes;
     p.ecn_field = net::ecn::ect1;  // both SCReAM and UDP Prague are L4S flows
     sent_bytes_ += p.size_bytes();
     send_(std::move(p));
 
-    const double rate = std::clamp(rc_->target_bps(), cfg_.min_rate_bps, cfg_.max_rate_bps);
-    loop_.schedule_after(sim::tx_time(cfg_.packet_bytes, rate), [this] { emit(); });
+    const double rate = std::clamp(rc_->target_bps(), k_min_rate_bps, cfg_.max_rate_bps);
+    loop_.schedule_after(sim::tx_time(k_packet_bytes, rate), [this] { emit(); });
 }
 
 void media_sender::on_packet(const net::packet& pkt)
@@ -72,7 +72,7 @@ void media_receiver::on_packet(const net::packet& pkt)
 
     if (!timer_running_) {
         timer_running_ = true;
-        loop_.schedule_after(cfg_.feedback_interval, [this] { emit_feedback(); });
+        loop_.schedule_after(k_feedback_interval, [this] { emit_feedback(); });
     }
 }
 
@@ -92,7 +92,7 @@ void media_receiver::emit_feedback()
 
     // Keep reporting while traffic flows.
     timer_running_ = true;
-    loop_.schedule_after(cfg_.feedback_interval, [this] {
+    loop_.schedule_after(k_feedback_interval, [this] {
         if (acc_.total_packets > 0) emit_feedback();
         else timer_running_ = false;
     });
@@ -108,7 +108,7 @@ namespace {
 class scream_controller : public rate_controller {
 public:
     explicit scream_controller(const media_config& cfg)
-        : rate_(cfg.start_rate_bps), min_(cfg.min_rate_bps), max_(cfg.max_rate_bps)
+        : rate_(cfg.start_rate_bps), min_(k_min_rate_bps), max_(cfg.max_rate_bps)
     {
     }
 
@@ -159,8 +159,8 @@ private:
 class udp_prague_controller : public rate_controller {
 public:
     explicit udp_prague_controller(const media_config& cfg)
-        : rate_(cfg.start_rate_bps), min_(cfg.min_rate_bps), max_(cfg.max_rate_bps),
-          pkt_bits_(cfg.packet_bytes * 8.0)
+        : rate_(cfg.start_rate_bps), min_(k_min_rate_bps), max_(cfg.max_rate_bps),
+          pkt_bits_(k_packet_bytes * 8.0)
     {
     }
 

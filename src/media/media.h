@@ -38,14 +38,15 @@ public:
     virtual std::string name() const = 0;
 };
 
+inline constexpr std::uint32_t k_packet_bytes = 1200;  // typical RTP video packet
+inline constexpr double k_min_rate_bps = 150e3;        // rate controller floor
+inline constexpr sim::tick k_feedback_interval = sim::from_ms(30);  // report cadence
+
 struct media_config {
     net::five_tuple ft;  // downlink direction
     std::uint64_t flow_id = 0;
-    std::uint32_t packet_bytes = 1200;   // typical RTP video packet
-    double min_rate_bps = 150e3;
     double max_rate_bps = 30e6;
     double start_rate_bps = 1e6;
-    sim::tick feedback_interval = sim::from_ms(30);
 };
 
 class media_sender {

@@ -5,8 +5,8 @@
 
 namespace l4span::ran {
 
-gnb::gnb(sim::event_loop& loop, gnb_config cfg, sim::rng rng)
-    : loop_(loop), cfg_(cfg), rng_(std::move(rng)), allocator_(cfg.mac)
+gnb::gnb(sim::event_loop& loop, sched_policy policy, sim::rng rng)
+    : loop_(loop), rng_(std::move(rng)), allocator_(policy)
 {
 }
 
@@ -60,16 +60,10 @@ drb_id_t gnb::add_drb(rnti_t ue, rlc_config cfg)
     // case the straggler is dropped — its data was forwarded in the handover
     // context.
 
-    // F1-U: DU -> CU delivery status, with the configured interface latency.
+    // F1-U: DU -> CU delivery status; CU and DU are co-located, so it
+    // arrives at once.
     tx->set_status_handler([this](const dl_delivery_status& st) {
-        if (!hook_) return;
-        if (cfg_.f1u_latency <= 0) {
-            hook_->on_delivery_status(st, loop_.now());
-        } else {
-            loop_.schedule_after(cfg_.f1u_latency, [this, st] {
-                if (hook_ && has_ue(st.ue)) hook_->on_delivery_status(st, loop_.now());
-            });
-        }
+        if (hook_) hook_->on_delivery_status(st, loop_.now());
     });
     if (on_delay_) tx->set_delay_handler(on_delay_);
     tx->set_discard_handler([this, rnti, id](pdcp_sn_t sn, sim::tick now) {
@@ -97,7 +91,7 @@ drb_id_t gnb::add_drb(rnti_t ue, rlc_config cfg)
     });
     // RLC ACK: UE -> DU status report rides the next UL opportunity.
     rx->set_ack_handler([this, rnti, id](pdcp_sn_t ack_sn, sim::tick) {
-        const sim::tick period = cfg_.mac.slot * cfg_.mac.tdd_period_slots;
+        const sim::tick period = k_slot * k_tdd_period_slots;
         const sim::tick wait = period - (loop_.now() % period);  // next UL slot
         loop_.schedule_after(wait, [this, rnti, id, ack_sn] {
             if (ue_ctx* u = try_ue(rnti))
@@ -180,7 +174,7 @@ void gnb::begin_outage(rnti_t ue)
     // backlog produces no HARQ evidence, so radio-link monitoring declares
     // the failure after the timer. HARQ failures usually beat it.
     const rnti_t rnti = u.rnti;
-    u.rlf_timer_id = loop_.schedule_after(cfg_.rlf_timer, [this, rnti] {
+    u.rlf_timer_id = loop_.schedule_after(k_rlf_timer, [this, rnti] {
         if (ue_ctx* uc = try_ue(rnti)) {
             uc->rlf_timer_id = 0;
             declare_rlf(*uc);
@@ -258,7 +252,7 @@ void gnb::start()
 {
     if (started_) return;
     started_ = true;
-    loop_.schedule_after(cfg_.mac.slot, [this] { on_slot(); });
+    loop_.schedule_after(k_slot, [this] { on_slot(); });
 }
 
 void gnb::deliver_downlink(net::packet pkt, rnti_t ue, qfi_t qfi)
@@ -317,17 +311,17 @@ void gnb::send_uplink(rnti_t ue, net::packet pkt)
     if (tracer_)
         tracer_->emit(loop_.now(), obs::point::ul_ingress, obs::reason::none,
                       static_cast<std::uint32_t>(ue) << 8, pkt.flow_id, pkt.pkt_id);
-    const sim::tick period = cfg_.mac.slot * cfg_.mac.tdd_period_slots;
+    const sim::tick period = k_slot * k_tdd_period_slots;
     const sim::tick wait = period - (loop_.now() % period);
     const sim::tick jitter =
-        static_cast<sim::tick>(rng_.uniform(0.0, static_cast<double>(cfg_.ul_proc_jitter)));
+        static_cast<sim::tick>(rng_.uniform(0.0, static_cast<double>(k_ul_proc_jitter)));
     sim::tick release = loop_.now() + wait + jitter;
     if (release <= u.last_ul_release) release = u.last_ul_release + sim::k_microsecond;
     u.last_ul_release = release;
     loop_.schedule_at(release, [this, ue, pkt = std::move(pkt)]() mutable {
         if (hook_ && !hook_->on_ul_packet(pkt, ue, loop_.now())) return;
         // CU -> core hop.
-        loop_.schedule_after(cfg_.core_latency, [this, ue, pkt = std::move(pkt)]() mutable {
+        loop_.schedule_after(k_core_latency, [this, ue, pkt = std::move(pkt)]() mutable {
             if (on_uplink_) on_uplink_(ue, std::move(pkt), loop_.now());
         });
     });
@@ -335,15 +329,15 @@ void gnb::send_uplink(rnti_t ue, net::packet pkt)
 
 bool gnb::is_dl_slot(std::uint64_t slot_idx, double& capacity_factor) const
 {
-    const int pos = static_cast<int>(slot_idx % static_cast<std::uint64_t>(
-                                                    cfg_.mac.tdd_period_slots));
-    if (pos < cfg_.mac.tdd_dl_slots) {
+    const int pos =
+        static_cast<int>(slot_idx % static_cast<std::uint64_t>(k_tdd_period_slots));
+    if (pos < k_tdd_dl_slots) {
         capacity_factor = 1.0;
         return true;
     }
-    if (pos == cfg_.mac.tdd_dl_slots) {  // special slot
-        capacity_factor = cfg_.mac.special_slot_factor;
-        return cfg_.mac.special_slot_factor > 0.0;
+    if (pos == k_tdd_dl_slots) {  // special slot
+        capacity_factor = k_special_slot_factor;
+        return true;
     }
     return false;  // UL slot
 }
@@ -356,7 +350,7 @@ void gnb::on_slot()
     const bool dl = is_dl_slot(slot_count_, cap_factor);
 
     if (dl) {
-        int available_prb = cfg_.mac.n_prb;
+        int available_prb = k_n_prb;
 
         // HARQ retransmissions claim the slot first. conclude_tb never
         // pushes into pending_retx synchronously (retransmissions arrive
@@ -458,7 +452,7 @@ void gnb::on_slot()
             if (!considered_scratch_[u->index]) allocator_.update_average(u->index, 0.0);
     }
 
-    loop_.schedule_after(cfg_.mac.slot, [this] { on_slot(); });
+    loop_.schedule_after(k_slot, [this] { on_slot(); });
 }
 
 void gnb::transmit_tb(ue_ctx& ue, drb_ctx& drb, std::vector<tb_chunk> chunks,
@@ -530,19 +524,18 @@ void gnb::conclude_tb(harq_tb tb)
         // other UEs' HARQ randomness is undisturbed. Consecutive failed
         // conclusions are the out-of-sync evidence RLF detection counts.
         decoded = false;
-        if (++u->harq_fail_streak >= cfg_.rlf_consecutive_harq) declare_rlf(*u);
+        if (++u->harq_fail_streak >= k_rlf_consecutive_harq) declare_rlf(*u);
     } else {
-        const double bler =
-            tb.attempt == 1 ? cfg_.mac.initial_bler : cfg_.mac.retx_bler;
+        const double bler = tb.attempt == 1 ? k_initial_bler : k_retx_bler;
         decoded = !rng_.bernoulli(bler);
         if (decoded) u->harq_fail_streak = 0;
     }
     if (tracer_) {
         obs::reason r = obs::reason::harq_ok;
         if (!decoded)
-            r = u->in_outage                     ? obs::reason::outage
-                : tb.attempt >= cfg_.mac.max_harq_tx ? obs::reason::harq_fail
-                                                     : obs::reason::harq_retx;
+            r = u->in_outage                  ? obs::reason::outage
+                : tb.attempt >= k_max_harq_tx ? obs::reason::harq_fail
+                                              : obs::reason::harq_retx;
         tracer_->emit(loop_.now(), obs::point::harq_conclude, r,
                       (static_cast<std::uint32_t>(tb.ue) << 8) |
                           static_cast<std::uint32_t>(tb.drb),
@@ -553,7 +546,7 @@ void gnb::conclude_tb(harq_tb tb)
         // The receive entity takes over each chunk's packet reference; if the
         // UE vanished meanwhile the references are released here.
         loop_.schedule_after(
-            cfg_.mac.ota_delay,
+            k_ota_delay,
             [this, rnti = tb.ue, drb = tb.drb, chunks = std::move(tb.chunks)]() mutable {
                 ue_ctx* uc = try_ue(rnti);
                 drb_ctx* dc = uc ? try_drb(*uc, drb) : nullptr;
@@ -566,7 +559,7 @@ void gnb::conclude_tb(harq_tb tb)
             });
         return;
     }
-    if (tb.attempt >= cfg_.mac.max_harq_tx) {
+    if (tb.attempt >= k_max_harq_tx) {
         // HARQ exhausted: RLC AM requeues (from its retention window), UM
         // loses the data; either way the chunks' own references die here.
         find_drb(*u, tb.drb).tx->on_tb_lost(tb.chunks, loop_.now());
@@ -576,7 +569,7 @@ void gnb::conclude_tb(harq_tb tb)
     // Schedule the retransmission one HARQ RTT later; it claims PRBs in the
     // first DL slot at or after that time.
     tb.attempt += 1;
-    loop_.schedule_after(cfg_.mac.harq_rtt, [this, tb = std::move(tb)]() mutable {
+    loop_.schedule_after(k_harq_rtt, [this, tb = std::move(tb)]() mutable {
         if (ue_ctx* uc = try_ue(tb.ue))
             uc->pending_retx.push_back(std::move(tb));
         else
@@ -592,11 +585,6 @@ rlc_tx& gnb::rlc(rnti_t ue, drb_id_t drb)
 const rlc_tx& gnb::rlc(rnti_t ue, drb_id_t drb) const
 {
     return *const_cast<gnb*>(this)->find_drb(const_cast<gnb*>(this)->find_ue(ue), drb).tx;
-}
-
-double gnb::current_snr_db(rnti_t ue)
-{
-    return find_ue(ue).channel->snr_db(loop_.now());
 }
 
 std::size_t gnb::resident_state_bytes() const

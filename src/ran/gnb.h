@@ -24,18 +24,15 @@
 
 namespace l4span::ran {
 
-struct gnb_config {
-    mac_config mac;
-    sim::tick f1u_latency = 0;          // CU and DU co-located by default
-    sim::tick core_latency = sim::from_ms(1);  // UPF/GTP-U hop
-    sim::tick ul_proc_jitter = sim::from_ms(2);
-    // Radio link failure detection during an injected outage: declared after
-    // this many consecutive failed TB conclusions (out-of-sync evidence), or
-    // after the T310-style supervision timer for a UE with no downlink
-    // backlog — whichever comes first.
-    int rlf_consecutive_harq = 8;
-    sim::tick rlf_timer = sim::from_ms(200);
-};
+// CU -> core (UPF/GTP-U) hop, and the bound of the uplink scheduling jitter.
+inline constexpr sim::tick k_core_latency = sim::from_ms(1);
+inline constexpr sim::tick k_ul_proc_jitter = sim::from_ms(2);
+// Radio link failure detection during an injected outage: declared after
+// this many consecutive failed TB conclusions (out-of-sync evidence), or
+// after the T310-style supervision timer for a UE with no downlink
+// backlog — whichever comes first.
+inline constexpr int k_rlf_consecutive_harq = 8;
+inline constexpr sim::tick k_rlf_timer = sim::from_ms(200);
 
 // X2/Xn handover context: everything a target cell needs to resume serving
 // a UE — SN status transfer, forwarded downlink data, the QFI map, and the
@@ -70,14 +67,13 @@ public:
     // (ue, now, mcs, prbs, tb_bytes): per-slot DCI/link-adaptation log, one
     // call per scheduler channel query — exactly the stream a trace replay
     // must reproduce (mcs is -1 when the UE was below MCS0 and skipped).
-    // Plug chan::trace_recorder::on_link_slot here to capture a run.
     using linklog_handler =
         std::function<void(rnti_t, sim::tick, int, int, std::uint32_t)>;
     // (ue, now): the gNB declared radio link failure for the UE (called at
     // most once per outage; the handler is expected to detach the UE).
     using rlf_handler = std::function<void(rnti_t, sim::tick)>;
 
-    gnb(sim::event_loop& loop, gnb_config cfg, sim::rng rng);
+    gnb(sim::event_loop& loop, sched_policy policy, sim::rng rng);
 
     // --- topology construction ---
     // Fading channel drawn from `profile`, or an explicit link model (e.g.
@@ -107,8 +103,8 @@ public:
     // --- fault injection: radio outage + RLF detection ---
     // The UE's radio link collapses: every TB concluded while in outage
     // fails (no RNG draw, so the HARQ randomness of other UEs is
-    // undisturbed), and the gNB detects RLF via rlf_consecutive_harq failed
-    // conclusions or the rlf_timer fallback, then fires the rlf_handler
+    // undisturbed), and the gNB detects RLF via k_rlf_consecutive_harq failed
+    // conclusions or the k_rlf_timer fallback, then fires the rlf_handler
     // once. Both calls are safe no-ops for unknown/detached RNTIs.
     void begin_outage(rnti_t ue);
     void end_outage(rnti_t ue);
@@ -137,14 +133,12 @@ public:
     // --- introspection (benchmark instrumentation) ---
     rlc_tx& rlc(rnti_t ue, drb_id_t drb);
     const rlc_tx& rlc(rnti_t ue, drb_id_t drb) const;
-    double current_snr_db(rnti_t ue);
     std::size_t num_ues() const { return ues_.size(); }
     // Attached (non-tombstone) UEs, in stable scheduler-index order — the
     // chaos-soak "no dangling RNTI" invariant compares this against the
     // scenario layer's view.
     std::size_t active_ues() const;
     std::vector<rnti_t> active_rntis() const;
-    const gnb_config& config() const { return cfg_; }
     std::uint64_t slots_elapsed() const { return slot_count_; }
 
     // Delay-breakdown taps (Fig. 10).
@@ -207,7 +201,6 @@ private:
     drb_ctx* try_drb(ue_ctx& ue, drb_id_t id);
 
     sim::event_loop& loop_;
-    gnb_config cfg_;
     sim::rng rng_;
     prb_allocator allocator_;
     // Arena for every packet the DU holds (RLC queues, ARQ retention,

@@ -10,7 +10,7 @@ void prb_allocator::allocate(const std::vector<sched_input>& in, int available_p
     grants.assign(in.size(), 0);
     if (in.empty() || available_prb <= 0) return;
 
-    if (cfg_.policy == sched_policy::round_robin) {
+    if (policy_ == sched_policy::round_robin) {
         // Equal split among backlogged UEs; the remainder rotates so no UE is
         // systematically favoured.
         const int n = static_cast<int>(in.size());
@@ -28,7 +28,6 @@ void prb_allocator::allocate(const std::vector<sched_input>& in, int available_p
 
     // Proportional fair: hand out one RBG at a time to the UE with the best
     // instantaneous-to-average rate ratio, capping at its backlog.
-    const int rbg = std::max(1, cfg_.rbg_size);
     int remaining = available_prb;
     std::vector<std::uint64_t>& planned_bytes = planned_scratch_;
     planned_bytes.assign(in.size(), 0);
@@ -45,7 +44,7 @@ void prb_allocator::allocate(const std::vector<sched_input>& in, int available_p
             }
         }
         if (best < 0) break;
-        const int give = std::min(remaining, rbg);
+        const int give = std::min(remaining, k_rbg_size);
         grants[static_cast<std::size_t>(best)] += give;
         planned_bytes[static_cast<std::size_t>(best)] +=
             static_cast<std::uint64_t>(in[static_cast<std::size_t>(best)].bytes_per_prb *

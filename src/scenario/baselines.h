@@ -15,6 +15,7 @@
 #include <unordered_map>
 
 #include "aqm/codel.h"
+#include "aqm/dualpi2.h"
 #include "core/profile_table.h"
 #include "ran/cu_hook.h"
 #include "ran/gnb.h"
@@ -27,8 +28,6 @@ class tc_ran {
 public:
     struct config {
         aqm::codel_config codel;
-        std::size_t rlc_drain_sdus = 16;     // keep the RLC queue at most this long
-        sim::tick poll = sim::from_ms(1);
     };
 
     tc_ran(sim::event_loop& loop, ran::gnb& gnb, config cfg);
@@ -55,11 +54,7 @@ private:
 class dualpi2_ran_hook : public ran::cu_hook {
 public:
     struct config {
-        sim::tick l4s_step = sim::from_ms(1);     // also evaluated at 10 ms
-        sim::tick classic_target = sim::from_ms(15);
-        sim::tick t_update = sim::from_ms(16);
-        double alpha = 0.16;
-        double beta = 3.2;
+        sim::tick l4s_step = aqm::k_l4s_step;  // also evaluated at 10 ms
         std::uint64_t seed = 11;
     };
 

@@ -270,9 +270,7 @@ double flow_goodput_mbps(const flow_spec& spec, const flow_endpoints& ep,
 cell::cell(sim::event_loop& loop, cell_spec spec, int index)
     : loop_(loop), spec_(std::move(spec)), index_(index), rng_(spec_.seed)
 {
-    ran::gnb_config gcfg;
-    gcfg.mac.policy = spec_.sched;
-    gnb_ = std::make_unique<ran::gnb>(loop_, gcfg, rng_.fork());
+    gnb_ = std::make_unique<ran::gnb>(loop_, spec_.sched, rng_.fork());
 
     switch (spec_.cu) {
     case cu_mode::l4span: {

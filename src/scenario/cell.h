@@ -243,9 +243,9 @@ public:
 
     void set_deliver_handler(ran::gnb::deliver_handler h);
     void set_uplink_handler(ran::gnb::uplink_handler h);
-    // Per-slot DCI log (chan::trace_recorder plugs in here). Fires on this
+    // Per-slot DCI log (a trace capture plugs in here). Fires on this
     // cell's loop thread: in a sharded topology record with jobs=1 or use
-    // one recorder per cell.
+    // one capture per cell.
     void set_linklog_handler(ran::gnb::linklog_handler h);
 
     // --- instrumentation ---

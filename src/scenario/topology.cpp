@@ -7,13 +7,6 @@
 namespace l4span::scenario {
 
 namespace {
-// Largest multiple of the MAC slot that does not exceed `latency` — the
-// "synchronized at slot boundaries" contract of the sharded mode.
-sim::tick slot_aligned(sim::tick latency, sim::tick slot)
-{
-    return (latency / slot) * slot;
-}
-
 // What survives a lost X2 context transfer: the UE's own bearer
 // configuration and channel profile. SN status, forwarded SDUs and the CU
 // hook state were in the dropped message — RLC/PDCP restart from SN 1 and
@@ -45,26 +38,24 @@ topology::topology(topology_spec spec) : spec_(std::move(spec))
             "no shared wired bottleneck for background senders to compete "
             "for — cross-traffic is a cell_scenario feature (like "
             "bottleneck_bps)");
+    const cell_spec& cs = spec_.cell;
+    const char* bottleneck_field =
+        cs.bottleneck_bps != 0.0          ? "bottleneck_bps"
+        : !cs.bottleneck_schedule.empty() ? "bottleneck_schedule"
+        : cs.ul_bottleneck_bps != 0.0     ? "ul_bottleneck_bps"
+        : cs.bottleneck_aqm != "fifo"     ? "bottleneck_aqm"
+                                          : nullptr;
+    if (bottleneck_field)
+        throw std::invalid_argument(
+            std::string("topology_spec.cell.") + bottleneck_field +
+            ": the multi-cell topology has no shared wired bottleneck — " +
+            bottleneck_field + " is a cell_scenario feature (like cross_traffic)");
 
     if (spec_.wired_bps < 0.0)
         throw std::invalid_argument("topology: wired_bps must be >= 0");
 
-    const sim::tick slot = ran::mac_config{}.slot;
-    const sim::tick min_latency = std::min(
-        {spec_.core_hop_latency, spec_.ue_stack_latency, spec_.x2_latency});
-    if (slot_aligned(min_latency, slot) < slot)
-        throw std::invalid_argument(
-            "topology: every cross-shard latency must be >= one MAC slot");
-    // The X2 context transfer must not outrun in-flight downlink/uplink
-    // packets, or data already heading to the source cell would be lost.
-    if (spec_.x2_latency < spec_.core_hop_latency ||
-        spec_.x2_latency < spec_.ue_stack_latency)
-        throw std::invalid_argument(
-            "topology: x2_latency must be >= core_hop and ue_stack latencies");
-
     shards_ = std::make_unique<sim::shard_group>(
-        static_cast<std::size_t>(spec_.num_cells), slot_aligned(min_latency, slot),
-        spec_.jobs);
+        static_cast<std::size_t>(spec_.num_cells), k_sync_quantum, spec_.jobs);
 
     // One observability shard per cell: each tracer/registry pair is only
     // ever written from its own shard's loop thread.
@@ -152,7 +143,7 @@ topology::topology(topology_spec spec) : spec_(std::move(spec))
                 const std::size_t f = pkt.flow_id;
                 if (f >= flows_.size()) return;
                 shards_->post(static_cast<std::size_t>(flows_[f]->home),
-                              now + spec_.ue_stack_latency,
+                              now + k_ue_stack_latency,
                               [this, f, pkt = std::move(pkt)] {
                                   flows_[f]->ep.on_downlink(pkt);
                               });
@@ -249,7 +240,7 @@ void topology::forward_downlink(net::packet pkt)
     const ran::rnti_t rnti = u.rnti;
     const ran::qfi_t qfi = f.qfi;
     const sim::tick now = shards_->loop(static_cast<std::size_t>(u.home)).now();
-    shards_->post(static_cast<std::size_t>(u.serving), now + spec_.core_hop_latency,
+    shards_->post(static_cast<std::size_t>(u.serving), now + k_core_hop_latency,
                   [c, rnti, qfi, pkt = std::move(pkt)]() mutable {
                       // The UE may have detached while this hop was in
                       // flight (cannot happen while x2 >= core_hop, but
@@ -277,7 +268,7 @@ void topology::route_uplink(std::size_t flow, net::packet pkt)
     scenario::cell* c = cells_[static_cast<std::size_t>(u.serving)].get();
     const ran::rnti_t rnti = u.rnti;
     const sim::tick now = shards_->loop(static_cast<std::size_t>(u.home)).now();
-    shards_->post(static_cast<std::size_t>(u.serving), now + spec_.ue_stack_latency,
+    shards_->post(static_cast<std::size_t>(u.serving), now + k_ue_stack_latency,
                   [c, rnti, pkt = std::move(pkt)]() mutable {
                       if (c->has_ue(rnti)) c->send_uplink(rnti, std::move(pkt));
                   });
@@ -484,7 +475,7 @@ void topology::on_rlf(int cell, ran::rnti_t rnti)
     const sim::tick now = shards_->loop(static_cast<std::size_t>(cell)).now();
     const std::size_t home_shard =
         static_cast<std::size_t>(ues_[static_cast<std::size_t>(ue)]->home);
-    shards_->post(home_shard, now + spec_.x2_latency,
+    shards_->post(home_shard, now + k_x2_latency,
                   [this, ue, ctx = std::move(ctx)]() mutable {
                       ue_entry& u = *ues_[static_cast<std::size_t>(ue)];
                       u.attached = false;  // UPF holds traffic from here on
@@ -500,7 +491,7 @@ void topology::schedule_reestablish(int ue, ran::ue_handover_context ctx,
     const std::size_t home_shard =
         static_cast<std::size_t>(ues_[static_cast<std::size_t>(ue)]->home);
     shards_->loop(home_shard).schedule_after(
-        spec_.reestablish_backoff,
+        k_reestablish_backoff,
         [this, ue, preferred, ctx = std::move(ctx)]() mutable {
             do_reestablish(ue, std::move(ctx), preferred);
         });
@@ -521,7 +512,7 @@ void topology::do_reestablish(int ue, ran::ue_handover_context ctx, int preferre
     const std::size_t tgt_shard = static_cast<std::size_t>(tgt);
     scenario::cell* t = cells_[tgt_shard].get();
     shards_->post(
-        tgt_shard, now + spec_.x2_latency,
+        tgt_shard, now + k_x2_latency,
         [this, ue, tgt, tgt_shard, t, ctx = std::move(ctx)]() mutable {
             if (cell_down_[tgt_shard][static_cast<std::size_t>(tgt)]) {
                 // Went down while the request was in flight: back off at
@@ -529,7 +520,7 @@ void topology::do_reestablish(int ue, ran::ue_handover_context ctx, int preferre
                 const sim::tick tn = t->loop().now();
                 const std::size_t home = static_cast<std::size_t>(
                     ues_[static_cast<std::size_t>(ue)]->home);
-                shards_->post(home, tn + spec_.x2_latency,
+                shards_->post(home, tn + k_x2_latency,
                               [this, ue, ctx = std::move(ctx)]() mutable {
                                   schedule_reestablish(ue, std::move(ctx), -1);
                               });
@@ -608,9 +599,9 @@ void topology::begin_handover(int ue, int target)
     // UE context (SN status transfer + data forwarding + hook state). By
     // then every in-flight downlink/uplink packet for the UE has landed
     // (x2 >= core_hop/ue_stack), so the context captures all of them.
-    shards_->post(src_shard, now + spec_.x2_latency, [this, ue, src, tgt, src_shard,
-                                                      tgt_shard, home_shard, rnti,
-                                                      target, src_cell, fail, mode] {
+    shards_->post(src_shard, now + k_x2_latency, [this, ue, src, tgt, src_shard,
+                                                  tgt_shard, home_shard, rnti,
+                                                  target, src_cell, fail, mode] {
         // An RLF declared while the command was in flight already detached
         // the UE; the re-establishment path owns the recovery then.
         if (!src->has_ue(rnti)) return;
@@ -623,11 +614,11 @@ void topology::begin_handover(int ue, int target)
         if (fail) {
             if (mode == topo::ho_failure_mode::rollback) {
                 // The X2 transfer is lost; the source detects the missing
-                // acknowledgment after ho_failure_timeout and re-admits
+                // acknowledgment after k_ho_failure_timeout and re-admits
                 // the UE with the exported state intact — every forwarded
                 // SDU comes back exactly once.
                 src->loop().schedule_after(
-                    spec_.ho_failure_timeout,
+                    k_ho_failure_timeout,
                     [this, ue, src_cell, ctx = std::move(ctx)]() mutable {
                         readmit(ue, src_cell, std::move(ctx), switch_kind::rollback);
                     });
@@ -636,7 +627,7 @@ void topology::begin_handover(int ue, int target)
                 // to RLF re-establishment toward the original target, with
                 // only what it knows itself (bearer config, no SN status).
                 shards_->post(
-                    home_shard, t1 + spec_.x2_latency,
+                    home_shard, t1 + k_x2_latency,
                     [this, ue, target,
                      ctx = strip_transfer_state(std::move(ctx))]() mutable {
                         ue_entry& uu = *ues_[static_cast<std::size_t>(ue)];
@@ -650,7 +641,7 @@ void topology::begin_handover(int ue, int target)
         // Leg 2 — context transfer to the target cell, which admits the UE
         // under a fresh RNTI and resumes the bearers.
         shards_->post(
-            tgt_shard, t1 + spec_.x2_latency,
+            tgt_shard, t1 + k_x2_latency,
             [this, ue, tgt, tgt_shard, src_shard, src_cell, target,
              ctx = std::move(ctx)]() mutable {
                 if (cell_down_[tgt_shard][static_cast<std::size_t>(target)]) {
@@ -658,7 +649,7 @@ void topology::begin_handover(int ue, int target)
                     // flight: bounce it back to the source, which
                     // re-admits the UE (a rollback).
                     const sim::tick t2 = tgt->loop().now();
-                    shards_->post(src_shard, t2 + spec_.x2_latency,
+                    shards_->post(src_shard, t2 + k_x2_latency,
                                   [this, ue, src_cell, ctx = std::move(ctx)]() mutable {
                                       readmit(ue, src_cell, std::move(ctx),
                                               switch_kind::rollback);
@@ -681,7 +672,7 @@ void topology::readmit(int ue, int cell, ran::ue_handover_context ctx,
     // so the cross-shard read is safe).
     const std::size_t home_shard =
         static_cast<std::size_t>(ues_[static_cast<std::size_t>(ue)]->home);
-    shards_->post(home_shard, now + spec_.x2_latency, [this, ue, cell, new_rnti, kind] {
+    shards_->post(home_shard, now + k_x2_latency, [this, ue, cell, new_rnti, kind] {
         finish_path_switch(ue, cell, new_rnti, kind);
     });
 }

@@ -11,9 +11,8 @@
 // changes at handover. All routing decisions for a UE execute on its home
 // shard, so no per-UE state is ever touched from two shards.
 //
-// Cross-shard hops and their latencies (each must be >= the sync quantum,
-// which the constructor derives as the largest slot-aligned value not
-// exceeding any of them):
+// Cross-shard hops and their latencies (constants below; each is >= the
+// sync quantum, the largest slot-aligned value not exceeding any of them):
 //   downlink  sender --wired_owd--> UPF --core_hop--> serving gNB
 //   delivery  serving gNB RLC --ue_stack--> receiver (modem -> app hop)
 //   uplink    receiver --ue_stack--> serving gNB --wired_owd--> sender
@@ -27,6 +26,7 @@
 // Results are byte-identical for any `jobs` value (see sim::shard_group).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -42,6 +42,31 @@
 
 namespace l4span::scenario {
 
+inline constexpr sim::tick k_core_hop_latency = sim::from_ms(1);    // UPF -> gNB
+inline constexpr sim::tick k_ue_stack_latency = sim::from_us(500);  // modem <-> app
+inline constexpr sim::tick k_x2_latency = sim::from_ms(2);          // per X2/Xn leg
+// Shards synchronize at slot boundaries, so every cross-shard hop must
+// span at least one MAC slot.
+static_assert(k_core_hop_latency >= ran::k_slot && k_ue_stack_latency >= ran::k_slot &&
+                  k_x2_latency >= ran::k_slot,
+              "every cross-shard latency must be >= one MAC slot");
+// The X2 context transfer must not outrun in-flight downlink/uplink
+// packets, or data already heading to the source cell would be lost.
+static_assert(k_x2_latency >= k_core_hop_latency && k_x2_latency >= k_ue_stack_latency,
+              "x2 latency must be >= the core_hop and ue_stack latencies");
+// Largest multiple of the MAC slot that does not exceed any cross-shard
+// latency: the shard group's sync quantum.
+inline constexpr sim::tick k_sync_quantum =
+    std::min({k_core_hop_latency, k_ue_stack_latency, k_x2_latency}) / ran::k_slot *
+    ran::k_slot;
+
+// Fault recovery: the UE-side wait between losing service (RLF declared,
+// or a handover's context transfer lost) and the re-establishment attach
+// attempt, and how long the source cell waits for the (lost) X2 transfer
+// acknowledgment before rolling the UE back.
+inline constexpr sim::tick k_reestablish_backoff = sim::from_ms(100);
+inline constexpr sim::tick k_ho_failure_timeout = sim::from_ms(20);
+
 struct topology_spec {
     int num_cells = 2;
     int ues_per_cell = 1;
@@ -50,17 +75,6 @@ struct topology_spec {
     cell_spec cell;
     // Worker threads for the shard group (1 = serial; results identical).
     int jobs = 1;
-    sim::tick core_hop_latency = sim::from_ms(1);    // UPF -> gNB
-    sim::tick ue_stack_latency = sim::from_us(500);  // modem <-> app
-    sim::tick x2_latency = sim::from_ms(2);          // per X2/Xn leg
-
-    // --- fault-injection knobs (consumed by apply_faults) ---
-    // UE-side wait between losing service (RLF declared, or a handover's
-    // context transfer lost) and the re-establishment attach attempt.
-    sim::tick reestablish_backoff = sim::from_ms(100);
-    // How long the source cell waits for the (lost) X2 transfer
-    // acknowledgment before rolling the UE back.
-    sim::tick ho_failure_timeout = sim::from_ms(20);
     // Line rate of the per-shard server->core wired hop. 0 (default)
     // models the hop as latency-only, exactly as before; > 0 mounts a
     // topo::wired_link with bounded FIFO buffering, which link_flap faults

@@ -7,6 +7,11 @@ namespace l4span::transport {
 namespace {
 
 constexpr std::uint32_t k_initial_bytes = 1200;  // RFC 9000 §8.1 padding
+constexpr std::uint64_t k_conn_flow_window = 16ull << 20;
+// PTO bounds, matching the TCP engine's RTO floor and ceiling.
+constexpr sim::tick k_min_pto = sim::from_ms(200);
+constexpr sim::tick k_max_pto = sim::from_sec(60);
+constexpr quic::pn_t k_pn_loss_threshold = 3;  // RACK packet-reordering threshold
 
 const quic::packet_payload* payload_of(const net::packet& pkt)
 {
@@ -22,7 +27,7 @@ quic_sender::quic_sender(sim::event_loop& loop, quic::quic_config cfg, cc_ptr cc
                          send_fn send)
     : loop_(loop), cfg_(cfg), cc_(std::move(cc)), send_(std::move(send))
 {
-    conn_credit_ = cfg_.conn_flow_window;
+    conn_credit_ = k_conn_flow_window;
     // QUIC ECN counters start at 0 (RFC 9000 §13.4), unlike TCP's ACE field:
     // prime the tracker so a CE mark in the very first ACK is not absorbed
     // as baseline.
@@ -58,7 +63,7 @@ void quic_sender::write(quic::stream_id_t stream, std::uint64_t bytes, bool fin)
 
 void quic_sender::on_path_switch()
 {
-    if (active_cid_index_ + 1 < cfg_.issued_cids) ++active_cid_index_;
+    if (active_cid_index_ + 1 < quic::k_issued_cids) ++active_cid_index_;
     ++path_migrations_;
 }
 
@@ -355,8 +360,7 @@ void quic_sender::detect_losses(quic::pn_t largest, sim::tick now)
         9 * std::max(srtt_, latest_rtt_) / 8, sim::from_ms(1));
     auto it = unacked_.begin();
     while (it != unacked_.end() && it->first < largest) {
-        const bool pn_lost =
-            largest - it->first >= static_cast<quic::pn_t>(cfg_.pn_loss_threshold);
+        const bool pn_lost = largest - it->first >= k_pn_loss_threshold;
         const bool time_lost = it->second.sent_time <= now - loss_delay;
         if (!pn_lost && !time_lost) break;  // later packets are younger still
         ++lost_packets_;
@@ -418,9 +422,9 @@ void quic_sender::arm_pto()
 {
     if (pto_event_) loop_.cancel(pto_event_);
     pto_ = std::clamp(srtt_ + std::max<sim::tick>(4 * rttvar_, sim::from_ms(1)),
-                      cfg_.min_pto, cfg_.max_pto);
+                      k_min_pto, k_max_pto);
     const sim::tick timeout = pto_ << std::min(pto_backoff_, 6);
-    pto_event_ = loop_.schedule_after(std::min(timeout, cfg_.max_pto), [this] {
+    pto_event_ = loop_.schedule_after(std::min(timeout, k_max_pto), [this] {
         pto_event_ = 0;
         on_pto_fire();
     });
@@ -503,8 +507,8 @@ void quic_receiver::on_packet(const net::packet& pkt)
     const quic::packet_payload* payload = payload_of(pkt);
     if (!payload) return;
     // CID addressing: anything outside the issued set is not this connection.
-    if (payload->dcid < cfg_.cid_base ||
-        payload->dcid >= cfg_.cid_base + static_cast<quic::cid_t>(cfg_.issued_cids)) {
+    if (payload->dcid < quic::k_cid_base ||
+        payload->dcid >= quic::k_cid_base + quic::k_issued_cids) {
         ++cid_drops_;
         return;
     }
@@ -604,11 +608,11 @@ void quic_receiver::send_ack(quic::stream_id_t stream, bool had_stream, sim::tic
         net::quic::encoded_ack_size(af) + quic::k_short_header_bytes);
 
     auto payload = std::make_shared<quic::packet_payload>();
-    payload->dcid = cfg_.cid_base;
+    payload->dcid = quic::k_cid_base;
     payload->pn = tx_pn_++;
     payload->ack = std::move(af);
     quic::flow_credit credit;
-    credit.conn_max_data = delivered_total_ + cfg_.conn_flow_window;
+    credit.conn_max_data = delivered_total_ + k_conn_flow_window;
     if (had_stream) {
         credit.stream = stream;
         credit.stream_max_data = streams_[stream].next + cfg_.stream_flow_window;

@@ -79,7 +79,7 @@ public:
     // Sticky for the connection's lifetime.
     bool ecn_fallback() const { return ecn_fallback_; }
     std::uint32_t path_migrations() const { return path_migrations_; }
-    quic::cid_t active_cid() const { return cfg_.cid_base + active_cid_index_; }
+    quic::cid_t active_cid() const { return quic::k_cid_base + active_cid_index_; }
     std::uint64_t packets_sent() const { return next_pn_; }
 
     // Congestion-reaction trace points (CE response, RACK loss, PTO

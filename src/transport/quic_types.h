@@ -24,6 +24,10 @@ using stream_id_t = std::uint64_t;
 
 inline constexpr std::uint32_t k_short_header_bytes = 1 + 8 + 4;  // flags+CID+PN
 inline constexpr std::uint32_t k_stream_frame_overhead = 8;       // type+id+off+len
+// Connection IDs the receiver pre-issues for migration: [k_cid_base,
+// k_cid_base + k_issued_cids).
+inline constexpr cid_t k_cid_base = 1;
+inline constexpr int k_issued_cids = 4;
 
 // STREAM frame: `len` bytes of stream `id` at `offset` (bytes are counted,
 // not materialized, like the rest of the packet model).
@@ -60,15 +64,9 @@ struct quic_config {
     std::uint64_t max_cwnd = 4ull << 20;
     std::uint64_t flow_bytes = 0;            // bulk stream 0: 0 = unbounded
     bool app_limited = false;                // data arrives via write() only
-    std::uint64_t conn_flow_window = 16ull << 20;
     std::uint64_t stream_flow_window = 4ull << 20;
-    sim::tick min_pto = sim::from_ms(200);
-    sim::tick max_pto = sim::from_sec(60);
-    int pn_loss_threshold = 3;               // RACK packet-reordering threshold
-    int issued_cids = 4;                     // CIDs pre-issued for migration
     net::five_tuple ft;                      // downlink direction (server->UE)
     std::uint64_t flow_id = 0;
-    cid_t cid_base = 1;                      // first CID of the issued set
 };
 
 }  // namespace l4span::transport::quic

@@ -5,6 +5,10 @@
 namespace l4span::transport {
 
 namespace {
+// RTO bounds: the Linux 200 ms floor and the RFC 6298 60 s ceiling.
+constexpr sim::tick k_min_rto = sim::from_ms(200);
+constexpr sim::tick k_max_rto = sim::from_sec(60);
+
 // ECN path validation horizon: if after this many MSS of delivered data the
 // receiver's AccECN counters have never moved, no data segment arrived with
 // its ECT codepoint intact — an ECT-stripping middlebox — and the sender
@@ -138,7 +142,7 @@ void tcp_sender::on_packet(const net::packet& pkt)
         handshake_rtt_ = loop_.now() - syn_time_;
         srtt_ = handshake_rtt_;
         rttvar_ = handshake_rtt_ / 2;
-        rto_ = std::clamp(srtt_ + 4 * rttvar_, cfg_.min_rto, cfg_.max_rto);
+        rto_ = std::clamp(srtt_ + 4 * rttvar_, k_min_rto, k_max_rto);
         // Handshake-completing ACK: this is the "subsequent forward packet"
         // L4Span's RTT* estimator observes.
         net::packet ack;
@@ -207,7 +211,7 @@ void tcp_sender::process_ack(const net::packet& pkt)
                     srtt_ = (7 * srtt_ + rtt) / 8;
                 }
                 rto_ = std::clamp(srtt_ + std::max<sim::tick>(4 * rttvar_, sim::from_ms(1)),
-                                  cfg_.min_rto, cfg_.max_rto);
+                                  k_min_rto, k_max_rto);
                 const sim::tick interval = now - seg.sent_time;
                 if (interval > 0)
                     s.delivery_rate_bps = static_cast<double>(delivered_ - seg.delivered_at_send) *
@@ -302,7 +306,7 @@ void tcp_sender::arm_rto()
 {
     if (rto_event_) loop_.cancel(rto_event_);
     const sim::tick timeout = rto_ << std::min(rto_backoff_, 6);
-    rto_event_ = loop_.schedule_after(std::min(timeout, cfg_.max_rto), [this] {
+    rto_event_ = loop_.schedule_after(std::min(timeout, k_max_rto), [this] {
         rto_event_ = 0;
         on_rto_fire();
     });

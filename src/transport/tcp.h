@@ -30,8 +30,6 @@ struct tcp_config {
     // Application-limited stream: data arrives only through app_write()
     // (interactive frame sources); the flow never "finishes".
     bool app_limited = false;
-    sim::tick min_rto = sim::from_ms(200);
-    sim::tick max_rto = sim::from_sec(60);
     net::five_tuple ft;                          // downlink direction (server->UE)
     std::uint64_t flow_id = 0;
 };

@@ -119,7 +119,7 @@ TEST(fault_chaos, rlf_reestablishes_and_flow_survives)
     const auto rec = topo.recovery_ms();
     ASSERT_EQ(rec.size(), topo.reestablishments());
     for (const double ms : rec) {
-        EXPECT_GE(ms, sim::to_ms(spec.reestablish_backoff));
+        EXPECT_GE(ms, sim::to_ms(scenario::k_reestablish_backoff));
         EXPECT_LT(ms, 400.0);
     }
     // The flows kept delivering after the last possible recovery.
@@ -195,7 +195,7 @@ TEST(fault_chaos, handover_failure_reestablishes_with_stripped_state)
     const auto rec = topo.recovery_ms();
     ASSERT_EQ(rec.size(), topo.reestablishments());
     for (const double ms : rec)
-        EXPECT_GE(ms, sim::to_ms(spec.reestablish_backoff));
+        EXPECT_GE(ms, sim::to_ms(scenario::k_reestablish_backoff));
     // The flows survived losing their RLC/PDCP state end-to-end.
     for (const int h : handles) {
         EXPECT_GT(topo.delivered_bytes(h), 1u << 20);

@@ -41,9 +41,9 @@ struct test_rig {
     };
     hook h{this};
 
-    explicit test_rig(rlc_config rlc = {}, gnb_config cfg = {})
+    explicit test_rig(rlc_config rlc = {})
     {
-        g = std::make_unique<gnb>(loop, cfg, sim::rng(5));
+        g = std::make_unique<gnb>(loop, sched_policy::round_robin, sim::rng(5));
         const rnti_t ue = g->add_ue(chan::channel_profile::static_channel());
         g->add_drb(ue, rlc);
         g->set_cu_hook(&h);

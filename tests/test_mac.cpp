@@ -9,13 +9,6 @@ using namespace l4span::ran;
 
 namespace {
 
-mac_config cfg(sched_policy p)
-{
-    mac_config c;
-    c.policy = p;
-    return c;
-}
-
 sched_input in(std::uint32_t idx, std::uint64_t backlog, double bpp = 500.0)
 {
     sched_input s;
@@ -29,7 +22,7 @@ sched_input in(std::uint32_t idx, std::uint64_t backlog, double bpp = 500.0)
 
 TEST(round_robin, splits_evenly)
 {
-    prb_allocator a(cfg(sched_policy::round_robin));
+    prb_allocator a(sched_policy::round_robin);
     for (int i = 0; i < 3; ++i) a.add_ue();
     auto g = a.allocate({in(0, 1 << 20), in(1, 1 << 20), in(2, 1 << 20)}, 51);
     EXPECT_EQ(std::accumulate(g.begin(), g.end(), 0), 51);
@@ -38,7 +31,7 @@ TEST(round_robin, splits_evenly)
 
 TEST(round_robin, remainder_rotates)
 {
-    prb_allocator a(cfg(sched_policy::round_robin));
+    prb_allocator a(sched_policy::round_robin);
     for (int i = 0; i < 2; ++i) a.add_ue();
     // 51 / 2 = 25 r 1: the extra PRB should alternate between the UEs.
     auto g1 = a.allocate({in(0, 1 << 20), in(1, 1 << 20)}, 51);
@@ -50,7 +43,7 @@ TEST(round_robin, remainder_rotates)
 
 TEST(round_robin, single_ue_gets_everything)
 {
-    prb_allocator a(cfg(sched_policy::round_robin));
+    prb_allocator a(sched_policy::round_robin);
     a.add_ue();
     auto g = a.allocate({in(0, 1 << 20)}, 51);
     EXPECT_EQ(g[0], 51);
@@ -58,13 +51,13 @@ TEST(round_robin, single_ue_gets_everything)
 
 TEST(round_robin, empty_input)
 {
-    prb_allocator a(cfg(sched_policy::round_robin));
+    prb_allocator a(sched_policy::round_robin);
     EXPECT_TRUE(a.allocate({}, 51).empty());
 }
 
 TEST(proportional_fair, favors_good_channel_when_averages_equal)
 {
-    prb_allocator a(cfg(sched_policy::proportional_fair));
+    prb_allocator a(sched_policy::proportional_fair);
     for (int i = 0; i < 2; ++i) a.add_ue();
     auto g = a.allocate({in(0, 1 << 20, 1000.0), in(1, 1 << 20, 250.0)}, 48);
     EXPECT_GT(g[0], g[1]) << "higher instantaneous rate wins at equal averages";
@@ -72,7 +65,7 @@ TEST(proportional_fair, favors_good_channel_when_averages_equal)
 
 TEST(proportional_fair, throughput_history_rebalances)
 {
-    prb_allocator a(cfg(sched_policy::proportional_fair));
+    prb_allocator a(sched_policy::proportional_fair);
     for (int i = 0; i < 2; ++i) a.add_ue();
     // UE0 has been served heavily; UE1 starved. Equal channels now.
     for (int i = 0; i < 50; ++i) {
@@ -85,7 +78,7 @@ TEST(proportional_fair, throughput_history_rebalances)
 
 TEST(proportional_fair, does_not_overgrant_small_backlog)
 {
-    prb_allocator a(cfg(sched_policy::proportional_fair));
+    prb_allocator a(sched_policy::proportional_fair);
     for (int i = 0; i < 2; ++i) a.add_ue();
     // UE0 only needs ~1 PRB worth of bytes; UE1 is greedy.
     auto g = a.allocate({in(0, 400, 500.0), in(1, 1 << 20, 500.0)}, 48);
@@ -95,7 +88,7 @@ TEST(proportional_fair, does_not_overgrant_small_backlog)
 
 TEST(proportional_fair, all_prbs_spent_when_demand_exists)
 {
-    prb_allocator a(cfg(sched_policy::proportional_fair));
+    prb_allocator a(sched_policy::proportional_fair);
     for (int i = 0; i < 4; ++i) a.add_ue();
     auto g = a.allocate(
         {in(0, 1 << 20, 300.0), in(1, 1 << 20, 600.0), in(2, 1 << 20, 900.0),

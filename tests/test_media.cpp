@@ -75,7 +75,7 @@ TEST(media, udp_prague_backs_off_on_ce)
     rig.mark_ce = true;
     rig.loop.run_until(sim::from_sec(4));
     EXPECT_LT(rig.snd->current_rate_bps(), before * 0.7);
-    EXPECT_GE(rig.snd->current_rate_bps(), rig.cfg.min_rate_bps);
+    EXPECT_GE(rig.snd->current_rate_bps(), media::k_min_rate_bps);
 }
 
 TEST(media, scream_backs_off_on_ce)

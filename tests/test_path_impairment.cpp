@@ -482,6 +482,31 @@ TEST(impairment_scenario, cell_scenario_validates_spec_fields)
     topo_cross.cell.cross_traffic.push_back({});
     topo_cross.cell.cross_traffic.back().rate_bps = 10e6;
     EXPECT_THROW(scenario::topology{topo_cross}, std::invalid_argument);
+
+    // The other single-cell-only bottleneck knobs are rejected by name too,
+    // instead of silently running without a bottleneck.
+    const std::vector<std::pair<std::string, void (*)(scenario::cell_spec&)>>
+        single_cell_only = {
+            {"bottleneck_bps", [](scenario::cell_spec& c) { c.bottleneck_bps = 50e6; }},
+            {"bottleneck_schedule",
+             [](scenario::cell_spec& c) { c.bottleneck_schedule = {{0, 50e6}}; }},
+            {"ul_bottleneck_bps",
+             [](scenario::cell_spec& c) { c.ul_bottleneck_bps = 5e6; }},
+            {"bottleneck_aqm",
+             [](scenario::cell_spec& c) { c.bottleneck_aqm = "dualpi2"; }},
+        };
+    for (const auto& [field, set] : single_cell_only) {
+        scenario::topology_spec topo_bn;
+        set(topo_bn.cell);
+        try {
+            scenario::topology t(topo_bn);
+            ADD_FAILURE() << field << ": expected std::invalid_argument";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("topology_spec.cell." + field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(impairment_scenario, cross_traffic_validates_and_loads_bottleneck)

@@ -290,7 +290,7 @@ TEST(quic, foreign_cid_is_dropped_known_cids_survive_rotation)
     alien.ft = rig.cfg.ft;
     alien.ft.proto = net::ip_proto::udp;
     auto payload = std::make_shared<quic::packet_payload>();
-    payload->dcid = rig.cfg.cid_base + 100;
+    payload->dcid = quic::k_cid_base + 100;
     payload->pn = 9999;
     alien.app_data = payload;
     rig.rcv->on_packet(alien);

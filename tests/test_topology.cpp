@@ -412,10 +412,6 @@ TEST(topology, invalid_inputs_rejected)
     EXPECT_THROW(topo.add_flow(bad_owd), std::invalid_argument);
     EXPECT_THROW(topo.schedule_handover(0, 99, 1), std::out_of_range);
     EXPECT_THROW(topo.schedule_handover(0, 0, 9), std::out_of_range);
-
-    scenario::topology_spec bad_lat = two_cell_spec(scenario::cu_mode::none);
-    bad_lat.ue_stack_latency = sim::from_us(100);  // below one MAC slot
-    EXPECT_THROW(scenario::topology{bad_lat}, std::invalid_argument);
 }
 
 // --- scenario::topology: sharded determinism --------------------------------
