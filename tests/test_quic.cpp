@@ -3,7 +3,10 @@
 // path migration across X2/Xn handover, and the ACK-frame wire codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <functional>
+#include <vector>
 
 #include "net/quic_wire.h"
 #include "scenario/topology.h"
@@ -99,8 +102,11 @@ struct quic_pipe_rig {
     std::unique_ptr<quic_receiver> rcv;
     sim::tick one_way = sim::from_ms(10);
     int drop_every_n_data = 0;  // 0: no drops
+    int mark_every_n_data = 0;  // 0: no periodic CE marks
     int data_count = 0;
     bool mark_all_ce = false;
+    // Sees every sender packet before the pipe does; true drops it.
+    std::function<bool(const net::packet&)> drop_if;
     std::unique_ptr<topo::path_impairment> impair;  // data direction only
 
     explicit quic_pipe_rig(const std::string& cca, std::uint64_t flow_bytes = 0,
@@ -113,9 +119,12 @@ struct quic_pipe_rig {
         snd = std::make_unique<quic_sender>(loop, cfg, std::move(cc),
                                             [this](net::packet p) {
             ++data_count;
+            if (drop_if && drop_if(p)) return;
             if (drop_every_n_data > 0 && data_count % drop_every_n_data == 0)
                 return;  // drop
-            if (mark_all_ce && net::is_ect(p.ecn_field)) p.ecn_field = net::ecn::ce;
+            const bool mark = mark_all_ce || (mark_every_n_data > 0 &&
+                                              data_count % mark_every_n_data == 0);
+            if (mark && net::is_ect(p.ecn_field)) p.ecn_field = net::ecn::ce;
             if (impair) {
                 impair->send(std::move(p));
                 return;
@@ -429,4 +438,136 @@ TEST(quic_ecn_fallback, reordering_alone_causes_no_fallback)
     rig.run(sim::from_sec(2));
     EXPECT_FALSE(rig.snd->ecn_fallback());
     EXPECT_GT(rig.rcv->received_bytes(), 1u << 20);
+}
+
+// --- probe timer and pacing --------------------------------------------------
+
+namespace {
+
+const quic::packet_payload& payload_of(const net::packet& p)
+{
+    return *static_cast<const quic::packet_payload*>(p.app_data.get());
+}
+
+// Runs `rig` until `until`, blackholing every sender packet from `at` on,
+// and returns the intervals between the sender's transmissions once the
+// in-flight ACKs have drained: each is one PTO, with backoff.
+std::vector<sim::tick> pto_intervals(quic_pipe_rig& rig, sim::tick at, sim::tick until)
+{
+    std::vector<sim::tick> sends;
+    rig.drop_if = [&](const net::packet&) {
+        sends.push_back(rig.loop.now());
+        return rig.loop.now() >= at;
+    };
+    rig.snd->start();
+    rig.run(until);
+    // The last transmission an ACK clocked out anchors the first timeout.
+    const sim::tick drained = at + 2 * rig.one_way;
+    std::size_t i = 0;
+    while (i + 1 < sends.size() && sends[i + 1] <= drained) ++i;
+    std::vector<sim::tick> gaps;
+    for (; i + 1 < sends.size(); ++i) gaps.push_back(sends[i + 1] - sends[i]);
+    return gaps;
+}
+
+}  // namespace
+
+TEST(quic_timers, lost_initial_is_resent_after_200_ms)
+{
+    quic_pipe_rig rig("cubic");
+    int initials = 0;
+    rig.drop_if = [&](const net::packet& p) {
+        return payload_of(p).handshake && ++initials == 1;
+    };
+    rig.snd->start();
+    rig.run(sim::from_sec(1));
+    // The handshake RTT runs from the first Initial, so it includes the PTO.
+    EXPECT_EQ(rig.snd->handshake_rtt(), sim::from_ms(220));
+    EXPECT_EQ(initials, 2);
+}
+
+TEST(quic_timers, pto_backs_off_from_the_floor_with_capped_shift)
+{
+    quic_pipe_rig rig("reno");
+    const auto gaps = pto_intervals(rig, sim::from_sec(1), sim::from_sec(60));
+    ASSERT_GE(gaps.size(), 9u);
+    for (std::size_t k = 0; k < 9; ++k)
+        EXPECT_EQ(gaps[k], sim::from_ms(200) << std::min<std::size_t>(k, 6)) << k;
+}
+
+TEST(quic_timers, pto_is_capped_at_sixty_seconds)
+{
+    // A 960 ms RTT puts the base timeout just above 60 s / 64, so the sixth
+    // doubling hits the ceiling.
+    quic_pipe_rig rig("reno");
+    rig.one_way = sim::from_ms(480);
+    const auto gaps = pto_intervals(rig, sim::from_sec(5), sim::from_sec(300));
+    ASSERT_GE(gaps.size(), 8u);
+    EXPECT_GT(gaps[0], sim::from_sec(60) / 64);
+    for (std::size_t k = 0; k < 8; ++k)
+        EXPECT_EQ(gaps[k], std::min(gaps[0] << std::min<std::size_t>(k, 6),
+                                    sim::from_sec(60)))
+            << k;
+    EXPECT_EQ(gaps[7], sim::from_sec(60));
+}
+
+TEST(quic_timers, bbr_never_sends_data_faster_than_its_pacing_rate)
+{
+    quic_pipe_rig rig("bbr");
+    sim::tick last_sent = -1;
+    sim::tick min_gap = 0;
+    std::size_t paced = 0;
+    std::size_t too_close = 0;
+    rig.drop_if = [&](const net::packet& p) {
+        const quic::packet_payload& pl = payload_of(p);
+        if (!pl.stream) return false;
+        const sim::tick now = rig.loop.now();
+        if (last_sent >= 0) {
+            ++paced;
+            if (now - last_sent < min_gap) ++too_close;
+        }
+        last_sent = now;
+        const double pace = rig.snd->cc().pacing_bps();
+        min_gap = pace > 0.0 ? sim::tx_time(pl.stream->len, pace) : 0;
+        return false;
+    };
+    rig.snd->start();
+    rig.run(sim::from_sec(2));
+    EXPECT_GT(paced, 1000u);
+    EXPECT_EQ(too_close, 0u);
+}
+
+// --- every controller over the engine: pinned outcomes -----------------------
+
+TEST(quic_outcomes, each_controller_under_periodic_loss_and_marks)
+{
+    struct row {
+        const char* cca;
+        std::uint64_t delivered;
+        std::uint32_t retransmits;
+        std::uint64_t cwnd;
+        std::size_t rtt_samples;
+        bool ecn_fallback;
+    };
+    // Captured from the engine as it stood; a changed value is a changed
+    // sender control path, not noise (the rig draws no randomness).
+    const row rows[] = {
+        {"reno", 652400, 4, 5621, 466, false},
+        {"cubic", 597800, 4, 5572, 427, false},
+        {"prague", 1482600, 10, 9158, 1059, false},
+        {"bbr", 12145000, 90, 761600, 8675, false},
+        {"bbr2", 918400, 6, 5600, 656, false},
+    };
+    for (const row& r : rows) {
+        quic_pipe_rig rig(r.cca);
+        rig.drop_every_n_data = 97;
+        rig.mark_every_n_data = 13;
+        rig.snd->start();
+        rig.run(sim::from_sec(2));
+        EXPECT_EQ(rig.snd->delivered_bytes(), r.delivered) << r.cca;
+        EXPECT_EQ(rig.snd->retransmits(), r.retransmits) << r.cca;
+        EXPECT_EQ(rig.snd->cwnd_bytes(), r.cwnd) << r.cca;
+        EXPECT_EQ(rig.snd->rtt_samples().count(), r.rtt_samples) << r.cca;
+        EXPECT_EQ(rig.snd->ecn_fallback(), r.ecn_fallback) << r.cca;
+    }
 }

@@ -2,7 +2,10 @@
 // ECN feedback paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <functional>
+#include <vector>
 
 #include "scenario/cell_scenario.h"
 #include "topo/path_impairment.h"
@@ -22,8 +25,11 @@ struct pipe_rig {
     std::unique_ptr<tcp_receiver> rcv;
     sim::tick one_way = sim::from_ms(10);
     int drop_every_n_data = 0;  // 0: no drops
+    int mark_every_n_data = 0;  // 0: no periodic CE marks
     int data_count = 0;
     bool mark_all_ce = false;
+    // Sees every sender packet before the pipe does; true drops it.
+    std::function<bool(const net::packet&)> drop_if;
     std::unique_ptr<topo::path_impairment> impair;  // data direction only
 
     explicit pipe_rig(const std::string& cca, std::uint64_t flow_bytes = 0)
@@ -34,10 +40,13 @@ struct pipe_rig {
         const bool accecn = cc->uses_accecn();
         snd = std::make_unique<tcp_sender>(loop, cfg, std::move(cc), [this](net::packet p) {
             ++data_count;
+            if (drop_if && drop_if(p)) return;
             if (drop_every_n_data > 0 && p.payload_bytes > 0 &&
                 data_count % drop_every_n_data == 0)
                 return;  // drop
-            if (mark_all_ce && net::is_ect(p.ecn_field)) p.ecn_field = net::ecn::ce;
+            const bool mark = mark_all_ce || (mark_every_n_data > 0 &&
+                                              data_count % mark_every_n_data == 0);
+            if (mark && net::is_ect(p.ecn_field)) p.ecn_field = net::ecn::ce;
             if (impair) {
                 impair->send(std::move(p));
                 return;
@@ -284,4 +293,135 @@ TEST(tcp_ecn_fallback, bleached_path_does_not_starve_prague_vs_cubic)
         << "(prague=" << prague << " cubic=" << cubic << ")";
     // Sanity: the run actually had both flows competing.
     EXPECT_GT(cubic, 1e6);
+}
+
+// ---- retransmission timer and pacing ---------------------------------------
+
+namespace {
+
+// Runs `rig` until `until`, blackholing every sender packet from `at` on,
+// and returns the intervals between the sender's transmissions once the
+// in-flight ACKs have drained: each is one RTO, with backoff.
+std::vector<sim::tick> rto_intervals(pipe_rig& rig, sim::tick at, sim::tick until)
+{
+    std::vector<sim::tick> sends;
+    rig.drop_if = [&](const net::packet&) {
+        sends.push_back(rig.loop.now());
+        return rig.loop.now() >= at;
+    };
+    rig.snd->start();
+    rig.run(until);
+    // The last transmission an ACK clocked out anchors the first timeout.
+    const sim::tick drained = at + 2 * rig.one_way;
+    std::size_t i = 0;
+    while (i + 1 < sends.size() && sends[i + 1] <= drained) ++i;
+    std::vector<sim::tick> gaps;
+    for (; i + 1 < sends.size(); ++i) gaps.push_back(sends[i + 1] - sends[i]);
+    return gaps;
+}
+
+}  // namespace
+
+TEST(tcp_timers, lost_syn_is_resent_after_one_second)
+{
+    pipe_rig rig("reno");
+    std::vector<sim::tick> syns;
+    rig.drop_if = [&](const net::packet& p) {
+        if (!p.tcp->flags.syn) return false;
+        syns.push_back(rig.loop.now());
+        return syns.size() == 1;
+    };
+    rig.snd->start();
+    rig.run(sim::from_ms(1019));
+    EXPECT_EQ(rig.snd->handshake_rtt(), -1) << "no SYN-ACK before the re-sent SYN's";
+    rig.run(sim::from_ms(1021));
+    // The re-sent SYN is timed afresh, so the measured RTT is the path's.
+    EXPECT_EQ(rig.snd->handshake_rtt(), sim::from_ms(20));
+    ASSERT_EQ(syns.size(), 2u);
+    EXPECT_EQ(syns[1] - syns[0], sim::from_sec(1));
+}
+
+TEST(tcp_timers, rto_backs_off_from_the_floor_with_capped_shift)
+{
+    pipe_rig rig("reno");
+    const auto gaps = rto_intervals(rig, sim::from_sec(1), sim::from_sec(60));
+    ASSERT_GE(gaps.size(), 9u);
+    for (std::size_t k = 0; k < 9; ++k)
+        EXPECT_EQ(gaps[k], sim::from_ms(200) << std::min<std::size_t>(k, 6)) << k;
+}
+
+TEST(tcp_timers, rto_is_capped_at_sixty_seconds)
+{
+    // A 960 ms RTT puts the base timeout just above 60 s / 64, so the sixth
+    // doubling hits the ceiling.
+    pipe_rig rig("reno");
+    rig.one_way = sim::from_ms(480);
+    const auto gaps = rto_intervals(rig, sim::from_sec(5), sim::from_sec(300));
+    ASSERT_GE(gaps.size(), 8u);
+    EXPECT_GT(gaps[0], sim::from_sec(60) / 64);
+    for (std::size_t k = 0; k < 8; ++k)
+        EXPECT_EQ(gaps[k], std::min(gaps[0] << std::min<std::size_t>(k, 6),
+                                    sim::from_sec(60)))
+            << k;
+    EXPECT_EQ(gaps[7], sim::from_sec(60));
+}
+
+TEST(tcp_timers, bbr_never_sends_data_faster_than_its_pacing_rate)
+{
+    pipe_rig rig("bbr");
+    sim::tick last_sent = -1;
+    sim::tick min_gap = 0;
+    std::size_t paced = 0;
+    std::size_t too_close = 0;
+    rig.drop_if = [&](const net::packet& p) {
+        if (p.payload_bytes == 0) return false;
+        const sim::tick now = rig.loop.now();
+        if (last_sent >= 0) {
+            ++paced;
+            if (now - last_sent < min_gap) ++too_close;
+        }
+        last_sent = now;
+        const double pace = rig.snd->cc().pacing_bps();
+        min_gap = pace > 0.0 ? sim::tx_time(p.payload_bytes, pace) : 0;
+        return false;
+    };
+    rig.snd->start();
+    rig.run(sim::from_sec(2));
+    EXPECT_GT(paced, 1000u);
+    EXPECT_EQ(too_close, 0u);
+}
+
+// ---- every controller over the engine: pinned outcomes ---------------------
+
+TEST(tcp_outcomes, each_controller_under_periodic_loss_and_marks)
+{
+    struct row {
+        const char* cca;
+        std::uint64_t delivered;
+        std::uint32_t retransmits;
+        std::uint64_t cwnd;
+        std::size_t rtt_samples;
+        bool ecn_fallback;
+    };
+    // Captured from the engine as it stood; a changed value is a changed
+    // sender control path, not noise (the rig draws no randomness).
+    const row rows[] = {
+        {"reno", 599200, 4, 6300, 424, false},
+        {"cubic", 616000, 4, 5848, 436, false},
+        {"prague", 1391600, 10, 14384, 984, false},
+        {"bbr", 11691400, 87, 399708, 8265, false},
+        {"bbr2", 919800, 6, 6361, 651, false},
+    };
+    for (const row& r : rows) {
+        pipe_rig rig(r.cca);
+        rig.drop_every_n_data = 97;
+        rig.mark_every_n_data = 13;
+        rig.snd->start();
+        rig.run(sim::from_sec(2));
+        EXPECT_EQ(rig.snd->delivered_bytes(), r.delivered) << r.cca;
+        EXPECT_EQ(rig.snd->retransmits(), r.retransmits) << r.cca;
+        EXPECT_EQ(rig.snd->cwnd_bytes(), r.cwnd) << r.cca;
+        EXPECT_EQ(rig.snd->rtt_samples().count(), r.rtt_samples) << r.cca;
+        EXPECT_EQ(rig.snd->ecn_fallback(), r.ecn_fallback) << r.cca;
+    }
 }
