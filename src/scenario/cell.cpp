@@ -131,6 +131,18 @@ std::uint64_t flow_endpoints::transport_retransmits() const
     return is_quic ? qsnd->retransmits() : snd->retransmits();
 }
 
+std::uint64_t flow_endpoints::ce_packets() const
+{
+    if (is_media) return 0;
+    return is_quic ? qrcv->ce_packets() : rcv->ce_packets();
+}
+
+bool flow_endpoints::ecn_fallback() const
+{
+    if (is_media) return false;
+    return is_quic ? qsnd->ecn_fallback() : snd->ecn_fallback();
+}
+
 bool flow_endpoints::tcp_finished() const
 {
     if (is_media) return false;

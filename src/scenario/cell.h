@@ -175,6 +175,8 @@ struct flow_endpoints {
     std::uint64_t delivered_bytes() const;
     std::uint64_t cwnd_bytes() const;
     std::uint64_t transport_retransmits() const;  // TCP/QUIC data re-sends
+    std::uint64_t ce_packets() const;  // CE-marked data packets at the receiver
+    bool ecn_fallback() const;         // the sender found the path strips ECN
     bool tcp_finished() const;
     sim::tick tcp_finish_time() const;
     const media::frame_source* frame_stats() const { return frames.get(); }

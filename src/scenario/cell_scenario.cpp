@@ -278,18 +278,12 @@ std::uint64_t cell_scenario::flow_retransmits(int flow) const
 
 std::uint64_t cell_scenario::flow_ce_packets(int flow) const
 {
-    const flow_rt& f = flow_at(flow);
-    if (f.ep.rcv) return f.ep.rcv->ce_packets();
-    if (f.ep.qrcv) return f.ep.qrcv->ce_packets();
-    return 0;
+    return flow_at(flow).ep.ce_packets();
 }
 
 bool cell_scenario::flow_ecn_fallback(int flow) const
 {
-    const flow_rt& f = flow_at(flow);
-    if (f.ep.snd) return f.ep.snd->ecn_fallback();
-    if (f.ep.qsnd) return f.ep.qsnd->ecn_fallback();
-    return false;
+    return flow_at(flow).ep.ecn_fallback();
 }
 
 double cell_scenario::fct_ms(int flow) const

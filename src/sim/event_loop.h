@@ -196,7 +196,8 @@ public:
     // which is bumped whenever the slot is reclaimed, so a stale id cannot
     // hit a recycled slot — unless a caller retains an id across ~2^32
     // reuses of one slot (32-bit generation wrap). Callers clear stored ids
-    // on fire/cancel (see tcp_sender's RTO), keeping stale ids short-lived.
+    // on fire/cancel (see transport::sender_control's retransmission timer),
+    // keeping stale ids short-lived.
     void cancel(event_id id)
     {
         const auto s = static_cast<std::uint32_t>(id & 0xffffffffu);

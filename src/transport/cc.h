@@ -1,4 +1,4 @@
-// Congestion-controller interface for the TCP engine.
+// Congestion-controller interface for the TCP and QUIC engines.
 //
 // Controllers see per-ACK samples (with classic-ECN echo or AccECN CE byte
 // fractions), loss/RTO events, and expose a congestion window plus an

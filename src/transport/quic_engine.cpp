@@ -8,9 +8,7 @@ namespace {
 
 constexpr std::uint32_t k_initial_bytes = 1200;  // RFC 9000 §8.1 padding
 constexpr std::uint64_t k_conn_flow_window = 16ull << 20;
-// PTO bounds, matching the TCP engine's RTO floor and ceiling.
-constexpr sim::tick k_min_pto = sim::from_ms(200);
-constexpr sim::tick k_max_pto = sim::from_sec(60);
+constexpr sim::tick k_initial_pto = sim::from_ms(200);  // the PTO floor, until an RTT
 constexpr quic::pn_t k_pn_loss_threshold = 3;  // RACK packet-reordering threshold
 
 const quic::packet_payload* payload_of(const net::packet& pkt)
@@ -25,7 +23,9 @@ const quic::packet_payload* payload_of(const net::packet& pkt)
 
 quic_sender::quic_sender(sim::event_loop& loop, quic::quic_config cfg, cc_ptr cc,
                          send_fn send)
-    : loop_(loop), cfg_(cfg), cc_(std::move(cc)), send_(std::move(send))
+    : loop_(loop), cfg_(cfg),
+      ctl_(loop, std::move(cc), cfg.flow_id, cfg.mtu_payload, k_initial_pto),
+      send_(std::move(send))
 {
     conn_credit_ = k_conn_flow_window;
     // QUIC ECN counters start at 0 (RFC 9000 §13.4), unlike TCP's ACE field:
@@ -69,7 +69,7 @@ void quic_sender::on_path_switch()
 
 std::uint64_t quic_sender::window() const
 {
-    return std::min<std::uint64_t>(cc_->cwnd(), cfg_.max_cwnd);
+    return std::min<std::uint64_t>(ctl_.cc().cwnd(), cfg_.max_cwnd);
 }
 
 quic_sender::stream_map::iterator quic_sender::next_sendable_stream()
@@ -97,7 +97,7 @@ void quic_sender::try_send()
 {
     if (!established_ || finished_) return;
     const sim::tick now = loop_.now();
-    const double pace = cc_->pacing_bps();
+    const double pace = ctl_.cc().pacing_bps();
 
     while (true) {
         // Pick the next chunk: lost data first, then fresh stream data in
@@ -126,16 +126,7 @@ void quic_sender::try_send()
                         s.next_offset + len == s.write_offset;
         }
         if (bytes_in_flight_ + frame.len > window()) return;
-        if (pace > 0.0 && now < next_send_allowed_) {
-            if (!send_pending_) {
-                send_pending_ = true;
-                loop_.schedule_at(next_send_allowed_, [this] {
-                    send_pending_ = false;
-                    try_send();
-                });
-            }
-            return;
-        }
+        if (ctl_.pacing_defers(now, pace, [this] { try_send(); })) return;
 
         if (is_retx) {
             retx_q_.pop_front();
@@ -147,9 +138,7 @@ void quic_sender::try_send()
             conn_data_sent_ += frame.len;
         }
         send_packet(frame, /*handshake=*/false);
-        if (pace > 0.0)
-            next_send_allowed_ =
-                std::max(next_send_allowed_, now) + sim::tx_time(frame.len, pace);
+        ctl_.on_paced_send(now, pace, frame.len);
     }
 }
 
@@ -160,8 +149,7 @@ void quic_sender::send_packet(const quic::stream_frame& frame, bool handshake)
     p.flow_id = cfg_.flow_id;
     p.pkt_id = ++pkt_counter_;
     p.sent_time = loop_.now();
-    p.ecn_field =
-        (handshake || ecn_fallback_) ? net::ecn::not_ect : cc_->data_ecn();
+    p.ecn_field = handshake ? net::ecn::not_ect : ctl_.data_ecn();
     p.payload_bytes = handshake ? k_initial_bytes
                                 : frame.len + quic::k_stream_frame_overhead +
                                       quic::k_short_header_bytes;
@@ -195,18 +183,14 @@ void quic_sender::on_packet(const net::packet& pkt)
     if (payload->handshake && !established_) {
         established_ = true;
         handshake_rtt_ = now - initial_time_;
-        srtt_ = handshake_rtt_;
-        rttvar_ = handshake_rtt_ / 2;
-        pto_backoff_ = 0;
+        ctl_.seed_rtt(handshake_rtt_);
+        ctl_.reset_backoff();
         // The Initial (and any PTO re-sends of it) is implicitly confirmed.
         for (auto it = unacked_.begin(); it != unacked_.end();) {
             if (it->second.handshake) it = unacked_.erase(it);
             else ++it;
         }
-        if (unacked_.empty() && pto_event_) {
-            loop_.cancel(pto_event_);
-            pto_event_ = 0;
-        }
+        if (unacked_.empty()) ctl_.disarm_timer();
         try_send();
         return;
     }
@@ -271,20 +255,11 @@ void quic_sender::process_ack(const net::quic::ack_frame& af, sim::tick now)
         latest_rtt_ = std::max<sim::tick>(
             now - largest_sent_time - sim::from_us(static_cast<double>(af.ack_delay_us)),
             1);
-        rtt_samples_.add(sim::to_ms(latest_rtt_));
-        if (srtt_ == 0) {
-            srtt_ = latest_rtt_;
-            rttvar_ = latest_rtt_ / 2;
-        } else {
-            const sim::tick err =
-                latest_rtt_ > srtt_ ? latest_rtt_ - srtt_ : srtt_ - latest_rtt_;
-            rttvar_ = (3 * rttvar_ + err) / 4;
-            srtt_ = (7 * srtt_ + latest_rtt_) / 8;
-        }
+        ctl_.on_rtt_sample(latest_rtt_);
     }
     if (newly_pkts > 0) {
         delivered_ += newly_bytes;
-        pto_backoff_ = 0;
+        ctl_.reset_backoff();
         if (rate_sent_time >= 0 && now > rate_sent_time)
             s.delivery_rate_bps = static_cast<double>(delivered_ - rate_delivered_at_send) *
                                   8.0 / sim::to_sec(now - rate_sent_time);
@@ -295,69 +270,35 @@ void quic_sender::process_ack(const net::quic::ack_frame& af, sim::tick now)
     bool classic_ce = false;
     if (af.ecn_present) {
         const std::uint64_t ce_delta = ce_tracker_.update(af.ecn.ce);
-        if (cc_->uses_accecn()) {
+        // Non-scalable senders treat any CE increment like a classic ECE echo.
+        if (ctl_.cc().uses_accecn()) {
             s.ce_fraction = ce_fraction(ce_delta, newly_pkts);
         } else {
             classic_ce = ce_delta > 0;
         }
-        // ECN validation (RFC 9000 §13.4.2): the receiver's counts move iff
-        // packets arrive with their ECT/CE codepoint intact. All-zero after
-        // a validation horizon of delivered data means the path strips ECN:
-        // stop marking, keep loss-based control (the codepoint is the only
-        // thing that changes).
-        if (!ecn_confirmed_ && (af.ecn.ect0 | af.ecn.ect1 | af.ecn.ce) != 0)
-            ecn_confirmed_ = true;
-        if (!ecn_confirmed_ && !ecn_fallback_ &&
-            cc_->data_ecn() != net::ecn::not_ect &&
-            delivered_ >= 16ull * cfg_.mtu_payload) {
-            ecn_fallback_ = true;
-            if (tracer_)
-                tracer_->emit(now, obs::point::ecn_fallback, obs::reason::strip,
-                              0, cfg_.flow_id, delivered_);
-        }
+        // ECN validation: the receiver's counts move iff packets arrive
+        // with their ECT/CE codepoint intact.
+        ctl_.validate_ecn((af.ecn.ect0 | af.ecn.ect1 | af.ecn.ce) != 0, delivered_, now);
     }
 
     s.newly_acked = static_cast<std::uint32_t>(newly_bytes);
     s.rtt = largest_newly_acked ? latest_rtt_ : -1;
-    s.srtt = srtt_;
     s.in_flight = bytes_in_flight_;
     s.app_limited = retx_q_.empty() && next_sendable_stream() == streams_.end();
-    if (s.newly_acked > 0 || s.ce_fraction > 0.0) {
-        cc_->on_ack(s);
-        if (tracer_ && s.ce_fraction > 0.0)
-            tracer_->emit(now, obs::point::transport_ce, obs::reason::ce_accecn,
-                          0, cfg_.flow_id, cc_->cwnd());
-    }
-
-    // Non-scalable senders treat any CE increment like a classic ECE echo,
-    // at most once per RTT (mirrors the TCP engine's classic path).
-    if (classic_ce) {
-        if (last_ecn_reaction_ < 0 ||
-            now - last_ecn_reaction_ >= std::max(srtt_, sim::from_ms(1))) {
-            last_ecn_reaction_ = now;
-            cc_->on_ecn(now);
-            if (tracer_)
-                tracer_->emit(now, obs::point::transport_ce,
-                              obs::reason::ce_classic, 0, cfg_.flow_id,
-                              cc_->cwnd());
-        }
-    }
+    ctl_.on_ack(s, classic_ce);
 
     detect_losses(af.largest, now);
     maybe_finish(now);
     if (finished_) return;
 
-    if (unacked_.empty() && pto_event_) {
-        loop_.cancel(pto_event_);
-        pto_event_ = 0;
-    }
+    if (unacked_.empty()) ctl_.disarm_timer();
     try_send();
 }
 
 void quic_sender::detect_losses(quic::pn_t largest, sim::tick now)
 {
     const sim::tick loss_delay = std::max<sim::tick>(
-        9 * std::max(srtt_, latest_rtt_) / 8, sim::from_ms(1));
+        9 * std::max(ctl_.srtt(), latest_rtt_) / 8, sim::from_ms(1));
     auto it = unacked_.begin();
     while (it != unacked_.end() && it->first < largest) {
         const bool pn_lost = largest - it->first >= k_pn_loss_threshold;
@@ -388,12 +329,8 @@ void quic_sender::detect_losses(quic::pn_t largest, sim::tick now)
         }
         if (it->first >= recovery_until_pn_) {
             // One congestion response per flight, like TCP's recovery episode.
-            cc_->on_loss(now);
             recovery_until_pn_ = next_pn_;
-            if (tracer_)
-                tracer_->emit(now, obs::point::transport_loss,
-                              obs::reason::rack_loss, 0, cfg_.flow_id,
-                              cc_->cwnd());
+            ctl_.on_loss(now, obs::reason::rack_loss);
         }
         it = unacked_.erase(it);
     }
@@ -411,42 +348,21 @@ void quic_sender::maybe_finish(sim::tick now)
         retx_q_.empty()) {
         finished_ = true;
         finish_time_ = now;
-        if (pto_event_) {
-            loop_.cancel(pto_event_);
-            pto_event_ = 0;
-        }
+        ctl_.disarm_timer();
     }
-}
-
-void quic_sender::arm_pto()
-{
-    if (pto_event_) loop_.cancel(pto_event_);
-    pto_ = std::clamp(srtt_ + std::max<sim::tick>(4 * rttvar_, sim::from_ms(1)),
-                      k_min_pto, k_max_pto);
-    const sim::tick timeout = pto_ << std::min(pto_backoff_, 6);
-    pto_event_ = loop_.schedule_after(std::min(timeout, k_max_pto), [this] {
-        pto_event_ = 0;
-        on_pto_fire();
-    });
 }
 
 void quic_sender::on_pto_fire()
 {
     if (finished_) return;
     if (!established_) {
-        ++pto_backoff_;
+        ctl_.back_off();
         send_packet(quic::stream_frame{}, /*handshake=*/true);
         return;
     }
     if (unacked_.empty()) return;
-    ++pto_backoff_;
     // Persistent congestion: repeated PTOs collapse the window like an RTO.
-    if (pto_backoff_ >= 2) {
-        cc_->on_rto(loop_.now());
-        if (tracer_)
-            tracer_->emit(loop_.now(), obs::point::transport_rto,
-                          obs::reason::rto_fire, 0, cfg_.flow_id, cc_->cwnd());
-    }
+    if (ctl_.back_off() >= 2) ctl_.on_rto(loop_.now());
     // Probe with the oldest outstanding data under a new packet number.
     for (const auto& [pn, sp] : unacked_) {
         if (sp.stream.len > 0) {

@@ -19,6 +19,9 @@
 //
 // ACK frames are round-tripped through net::quic_wire so ACK packets carry
 // their true wire size (ranges + ECN counts change the bytes the RAN sees).
+// All of the above is this engine's own, as is the Initial exchange. RTT
+// estimation, the PTO with backoff, pacing, ECN validation and the CE
+// reaction live in sender_control.h, shared with the TCP engine.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +38,7 @@
 #include "transport/cc.h"
 #include "transport/ecn_feedback.h"
 #include "transport/quic_types.h"
+#include "transport/sender_control.h"
 
 namespace l4span::transport {
 
@@ -63,13 +67,12 @@ public:
 
     // --- stats ---
     std::uint64_t delivered_bytes() const { return delivered_; }  // acked stream bytes
-    stats::sample_set& rtt_samples() { return rtt_samples_; }
-    const stats::sample_set& rtt_samples() const { return rtt_samples_; }
+    const stats::sample_set& rtt_samples() const { return ctl_.rtt_samples(); }
     bool finished() const { return finished_; }
     sim::tick finish_time() const { return finish_time_; }
     sim::tick handshake_rtt() const { return handshake_rtt_; }
-    std::uint64_t cwnd_bytes() const { return cc_->cwnd(); }
-    const congestion_controller& cc() const { return *cc_; }
+    std::uint64_t cwnd_bytes() const { return ctl_.cc().cwnd(); }
+    const congestion_controller& cc() const { return ctl_.cc(); }
     // Data re-sends (RACK-declared losses and PTO probes carrying old data).
     std::uint32_t retransmits() const { return retransmit_count_; }
     std::uint32_t lost_packets() const { return lost_packets_; }
@@ -77,14 +80,14 @@ public:
     // not deliver ECN-marked packets — every ACK_ECN count still zero after
     // enough delivered data — and the sender reverted to Not-ECT sending.
     // Sticky for the connection's lifetime.
-    bool ecn_fallback() const { return ecn_fallback_; }
+    bool ecn_fallback() const { return ctl_.ecn_fallback(); }
     std::uint32_t path_migrations() const { return path_migrations_; }
     quic::cid_t active_cid() const { return quic::k_cid_base + active_cid_index_; }
     std::uint64_t packets_sent() const { return next_pn_; }
 
     // Congestion-reaction trace points (CE response, RACK loss, PTO
     // collapse, ECN fallback), with the post-reaction cwnd in the payload.
-    void set_tracer(obs::tracer* t) { tracer_ = t; }
+    void set_tracer(obs::tracer* t) { ctl_.set_tracer(t); }
 
 private:
     struct stream_tx {
@@ -109,14 +112,14 @@ private:
     void process_ack(const net::quic::ack_frame& af, sim::tick now);
     void detect_losses(quic::pn_t largest, sim::tick now);
     void maybe_finish(sim::tick now);
-    void arm_pto();
+    void arm_pto() { ctl_.arm_timer([this] { on_pto_fire(); }); }
     void on_pto_fire();
     std::uint64_t window() const;
     stream_map::iterator next_sendable_stream();
 
     sim::event_loop& loop_;
     quic::quic_config cfg_;
-    cc_ptr cc_;
+    sender_control ctl_;
     send_fn send_;
 
     bool established_ = false;
@@ -136,13 +139,7 @@ private:
     std::uint64_t conn_data_sent_ = 0;
     std::uint64_t conn_credit_ = 0;
 
-    // RTT estimation (RFC 9002 §5).
-    sim::tick srtt_ = 0;
-    sim::tick rttvar_ = 0;
-    sim::tick latest_rtt_ = 0;
-    sim::tick pto_ = sim::from_sec(1);
-    sim::event_loop::event_id pto_event_ = 0;
-    int pto_backoff_ = 0;
+    sim::tick latest_rtt_ = 0;  // RACK's time threshold reads it (RFC 9002 §6.1.2)
 
     // Loss-episode tracking: one cc->on_loss per flight, like TCP recovery.
     quic::pn_t recovery_until_pn_ = 0;
@@ -150,26 +147,15 @@ private:
 
     // ECN feedback: cumulative packet counters from ACK_ECN frames.
     ecn_counter_tracker ce_tracker_{64};
-    sim::tick last_ecn_reaction_ = -1;  // classic (non-AccECN) rate limiting
-    // ECN path validation (RFC 9000 §13.4.2): confirmed once any ACK_ECN
-    // count moves; fallback once enough data arrived with all counts zero.
-    bool ecn_confirmed_ = false;
-    bool ecn_fallback_ = false;
 
     // Delivery-rate estimation for BBR.
     std::uint64_t delivered_ = 0;
-
-    // Pacing.
-    sim::tick next_send_allowed_ = 0;
-    bool send_pending_ = false;
 
     int active_cid_index_ = 0;
     std::uint32_t path_migrations_ = 0;
     std::uint64_t pkt_counter_ = 0;
     std::uint32_t retransmit_count_ = 0;
     std::uint32_t lost_packets_ = 0;
-    stats::sample_set rtt_samples_;
-    obs::tracer* tracer_ = nullptr;
 };
 
 class quic_receiver {

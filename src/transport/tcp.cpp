@@ -4,22 +4,15 @@
 
 namespace l4span::transport {
 
-namespace {
-// RTO bounds: the Linux 200 ms floor and the RFC 6298 60 s ceiling.
-constexpr sim::tick k_min_rto = sim::from_ms(200);
-constexpr sim::tick k_max_rto = sim::from_sec(60);
-
-// ECN path validation horizon: if after this many MSS of delivered data the
-// receiver's AccECN counters have never moved, no data segment arrived with
-// its ECT codepoint intact — an ECT-stripping middlebox — and the sender
-// falls back to Not-ECT, loss-based operation (mirrors RFC 9000 §13.4.2).
-constexpr std::uint64_t k_ecn_validate_segments = 16;
-}  // namespace
+// RFC 6298's initial RTO: it times the SYN until the SYN-ACK yields an RTT.
+constexpr sim::tick k_initial_rto = sim::from_sec(1);
 
 // ---------------------------------------------------------------- sender --
 
 tcp_sender::tcp_sender(sim::event_loop& loop, tcp_config cfg, cc_ptr cc, send_fn send)
-    : loop_(loop), cfg_(cfg), cc_(std::move(cc)), send_(std::move(send))
+    : loop_(loop), cfg_(cfg),
+      ctl_(loop, std::move(cc), cfg.flow_id, cfg.mss, k_initial_rto),
+      send_(std::move(send))
 {
 }
 
@@ -32,7 +25,7 @@ void tcp_sender::start()
     syn.sent_time = loop_.now();
     syn.tcp = net::tcp_header{};
     syn.tcp->flags.syn = true;
-    if (cc_->uses_accecn()) {
+    if (ctl_.cc().uses_accecn()) {
         syn.tcp->flags.ae = syn.tcp->flags.cwr = syn.tcp->flags.ece = true;  // AccECN offer
     } else {
         syn.tcp->flags.cwr = syn.tcp->flags.ece = true;  // classic ECN offer
@@ -44,7 +37,7 @@ void tcp_sender::start()
 
 std::uint64_t tcp_sender::window() const
 {
-    return std::min<std::uint64_t>(cc_->cwnd(), cfg_.max_cwnd);
+    return std::min<std::uint64_t>(ctl_.cc().cwnd(), cfg_.max_cwnd);
 }
 
 bool tcp_sender::more_app_data() const
@@ -65,19 +58,10 @@ void tcp_sender::try_send()
 {
     if (!established_ || finished_) return;
     const sim::tick now = loop_.now();
-    const double pace = cc_->pacing_bps();
+    const double pace = ctl_.cc().pacing_bps();
 
     while (more_app_data() && bytes_in_flight() + cfg_.mss <= window()) {
-        if (pace > 0.0 && now < next_send_allowed_) {
-            if (!send_pending_) {
-                send_pending_ = true;
-                loop_.schedule_at(next_send_allowed_, [this] {
-                    send_pending_ = false;
-                    try_send();
-                });
-            }
-            return;
-        }
+        if (ctl_.pacing_defers(now, pace, [this] { try_send(); })) return;
         std::uint32_t len = cfg_.mss;
         if (cfg_.app_limited)
             len = static_cast<std::uint32_t>(
@@ -88,9 +72,7 @@ void tcp_sender::try_send()
         if (len == 0) break;
         send_segment(snd_nxt_, len, false);
         snd_nxt_ += len;
-        if (pace > 0.0)
-            next_send_allowed_ =
-                std::max(next_send_allowed_, now) + sim::tx_time(len, pace);
+        ctl_.on_paced_send(now, pace, len);
     }
 }
 
@@ -102,7 +84,7 @@ void tcp_sender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retx
     p.pkt_id = ++pkt_counter_;
     p.sent_time = loop_.now();
     p.payload_bytes = len;
-    p.ecn_field = ecn_fallback_ ? net::ecn::not_ect : cc_->data_ecn();
+    p.ecn_field = ctl_.data_ecn();
     p.tcp = net::tcp_header{};
     p.tcp->seq = static_cast<std::uint32_t>(seq);
     if (send_cwr_ && !is_retx) {
@@ -140,9 +122,7 @@ void tcp_sender::on_packet(const net::packet& pkt)
     if (h.flags.syn && h.flags.ack && !established_) {
         established_ = true;
         handshake_rtt_ = loop_.now() - syn_time_;
-        srtt_ = handshake_rtt_;
-        rttvar_ = handshake_rtt_ / 2;
-        rto_ = std::clamp(srtt_ + 4 * rttvar_, k_min_rto, k_max_rto);
+        ctl_.seed_rtt(handshake_rtt_);
         // Handshake-completing ACK: this is the "subsequent forward packet"
         // L4Span's RTT* estimator observes.
         net::packet ack;
@@ -171,15 +151,11 @@ void tcp_sender::process_ack(const net::packet& pkt)
 
     // --- AccECN / classic ECN feedback extraction ---
     bool classic_ece = false;
-    if (cc_->uses_accecn()) {
+    const bool accecn = ctl_.cc().uses_accecn();
+    if (accecn) {
         std::uint64_t ce_delta_bytes = 0;
         if (h.accecn.present) {
             ce_delta_bytes = eceb_tracker_.update(h.accecn.eceb);
-            // ECN path validation: the receiver's cumulative byte counters
-            // move iff data arrives with ECT(0)/ECT(1)/CE intact.
-            if (!ecn_confirmed_ &&
-                (h.accecn.ee0b | h.accecn.ee1b | h.accecn.eceb) != 0)
-                ecn_confirmed_ = true;
         } else {
             // Fall back to the 3-bit ACE packet counter.
             ce_delta_bytes = ace_tracker_.update(h.ace()) * cfg_.mss;
@@ -201,26 +177,15 @@ void tcp_sender::process_ack(const net::packet& pkt)
             if (!seg.retransmitted) {
                 const sim::tick rtt = now - seg.sent_time;
                 s.rtt = rtt;
-                rtt_samples_.add(sim::to_ms(rtt));
-                if (srtt_ == 0) {
-                    srtt_ = rtt;
-                    rttvar_ = rtt / 2;
-                } else {
-                    const sim::tick err = rtt > srtt_ ? rtt - srtt_ : srtt_ - rtt;
-                    rttvar_ = (3 * rttvar_ + err) / 4;
-                    srtt_ = (7 * srtt_ + rtt) / 8;
-                }
-                rto_ = std::clamp(srtt_ + std::max<sim::tick>(4 * rttvar_, sim::from_ms(1)),
-                                  k_min_rto, k_max_rto);
-                const sim::tick interval = now - seg.sent_time;
-                if (interval > 0)
+                ctl_.on_rtt_sample(rtt);
+                if (rtt > 0)
                     s.delivery_rate_bps = static_cast<double>(delivered_ - seg.delivered_at_send) *
-                                          8.0 / sim::to_sec(interval);
+                                          8.0 / sim::to_sec(rtt);
             }
             segments_.pop_front();
         }
         snd_una_ = ack;
-        rto_backoff_ = 0;
+        ctl_.reset_backoff();
 
         if (in_recovery_) {
             if (ack >= recovery_point_) {
@@ -239,55 +204,28 @@ void tcp_sender::process_ack(const net::packet& pkt)
         }
     }
 
-    if (cc_->uses_accecn() && !ecn_confirmed_ && !ecn_fallback_ &&
-        cc_->data_ecn() != net::ecn::not_ect &&
-        delivered_ >= k_ecn_validate_segments * cfg_.mss) {
-        // Enough data delivered and not one byte of it kept its ECT mark:
-        // the path strips ECN. Stop marking; loss handling is untouched.
-        ecn_fallback_ = true;
-        if (tracer_)
-            tracer_->emit(now, obs::point::ecn_fallback, obs::reason::strip, 0,
-                          cfg_.flow_id, delivered_);
-    }
+    // ECN path validation, AccECN senders only: the receiver's cumulative
+    // byte counters move iff data arrives with ECT(0)/ECT(1)/CE intact.
+    if (accecn)
+        ctl_.validate_ecn(h.accecn.present &&
+                              (h.accecn.ee0b | h.accecn.ee1b | h.accecn.eceb) != 0,
+                          delivered_, now);
 
-    s.srtt = srtt_;
     s.in_flight = bytes_in_flight();
-    s.ece = classic_ece;
     s.app_limited = (cfg_.flow_bytes > 0 || cfg_.app_limited) && !more_app_data();
-
-    if (s.newly_acked > 0 || s.ce_fraction > 0.0) {
-        cc_->on_ack(s);
-        if (tracer_ && s.ce_fraction > 0.0)
-            tracer_->emit(now, obs::point::transport_ce, obs::reason::ce_accecn,
-                          0, cfg_.flow_id, cc_->cwnd());
-    }
-
-    // Classic ECN: react at most once per RTT, echo CWR.
-    if (classic_ece) {
-        send_cwr_ = true;
-        if (last_ecn_reaction_ < 0 || now - last_ecn_reaction_ >= std::max(srtt_, sim::from_ms(1))) {
-            last_ecn_reaction_ = now;
-            cc_->on_ecn(now);
-            if (tracer_)
-                tracer_->emit(now, obs::point::transport_ce,
-                              obs::reason::ce_classic, 0, cfg_.flow_id,
-                              cc_->cwnd());
-        }
-    }
+    if (classic_ece) send_cwr_ = true;
+    ctl_.on_ack(s, classic_ece);
 
     // App-limited streams never "finish" — flow_bytes is a bulk-mode knob.
     if (!cfg_.app_limited && cfg_.flow_bytes > 0 && snd_una_ - 1 >= cfg_.flow_bytes &&
         !finished_) {
         finished_ = true;
         finish_time_ = now;
-        if (rto_event_) loop_.cancel(rto_event_);
+        ctl_.disarm_timer();
         return;
     }
 
-    if (segments_.empty() && rto_event_) {
-        loop_.cancel(rto_event_);
-        rto_event_ = 0;
-    }
+    if (segments_.empty()) ctl_.disarm_timer();
     try_send();
 }
 
@@ -295,21 +233,8 @@ void tcp_sender::enter_recovery(sim::tick now)
 {
     in_recovery_ = true;
     recovery_point_ = snd_nxt_;
-    cc_->on_loss(now);
-    if (tracer_)
-        tracer_->emit(now, obs::point::transport_loss, obs::reason::dupack_loss,
-                      0, cfg_.flow_id, cc_->cwnd());
+    ctl_.on_loss(now, obs::reason::dupack_loss);
     if (!segments_.empty()) send_segment(segments_.front().seq, segments_.front().len, true);
-}
-
-void tcp_sender::arm_rto()
-{
-    if (rto_event_) loop_.cancel(rto_event_);
-    const sim::tick timeout = rto_ << std::min(rto_backoff_, 6);
-    rto_event_ = loop_.schedule_after(std::min(timeout, k_max_rto), [this] {
-        rto_event_ = 0;
-        on_rto_fire();
-    });
 }
 
 void tcp_sender::on_rto_fire()
@@ -317,18 +242,15 @@ void tcp_sender::on_rto_fire()
     if (finished_) return;
     if (!established_) {
         // SYN retransmission.
-        ++rto_backoff_;
+        ctl_.back_off();
         start();
         return;
     }
     if (segments_.empty()) return;
-    ++rto_backoff_;
+    ctl_.back_off();
     in_recovery_ = false;
     dupacks_ = 0;
-    cc_->on_rto(loop_.now());
-    if (tracer_)
-        tracer_->emit(loop_.now(), obs::point::transport_rto,
-                      obs::reason::rto_fire, 0, cfg_.flow_id, cc_->cwnd());
+    ctl_.on_rto(loop_.now());
     send_segment(segments_.front().seq, segments_.front().len, true);
 }
 

@@ -1,10 +1,12 @@
 // Event-driven TCP engine: sender and receiver endpoints.
 //
-// Faithful where it matters for the paper's dynamics: handshake (L4Span's
-// RTT* estimate keys off the SYN->ACK interval), byte-sequence cumulative
-// ACKs, dupack fast retransmit with NewReno-style recovery, RTO with
-// backoff, optional pacing, classic ECN (ECE latched until CWR) and AccECN
-// (ACE counter + option byte counters) feedback.
+// Faithful where it matters for the paper's dynamics, this engine owns the
+// handshake (L4Span's RTT* estimate keys off the SYN->ACK interval),
+// byte-sequence cumulative ACKs, dupack fast retransmit with NewReno-style
+// recovery, classic ECN (ECE latched until CWR, CWR echo) and AccECN (ACE
+// counter + option byte counters) feedback. RTT estimation, the RTO with
+// backoff, pacing, ECN validation and the CE reaction live in
+// sender_control.h, shared with the QUIC engine.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "stats/timeseries.h"
 #include "transport/cc.h"
 #include "transport/ecn_feedback.h"
+#include "transport/sender_control.h"
 
 namespace l4span::transport {
 
@@ -53,23 +56,22 @@ public:
 
     // --- stats ---
     std::uint64_t delivered_bytes() const { return snd_una_ > 0 ? snd_una_ - 1 : 0; }
-    stats::sample_set& rtt_samples() { return rtt_samples_; }
-    const stats::sample_set& rtt_samples() const { return rtt_samples_; }
+    const stats::sample_set& rtt_samples() const { return ctl_.rtt_samples(); }
     bool finished() const { return finished_; }
     sim::tick finish_time() const { return finish_time_; }
     sim::tick handshake_rtt() const { return handshake_rtt_; }
-    std::uint64_t cwnd_bytes() const { return cc_->cwnd(); }
-    const congestion_controller& cc() const { return *cc_; }
+    std::uint64_t cwnd_bytes() const { return ctl_.cc().cwnd(); }
+    const congestion_controller& cc() const { return ctl_.cc(); }
     std::uint32_t retransmits() const { return retransmit_count_; }
     // True once the sender concluded the path does not deliver ECN (every
     // AccECN feedback counter still zero after enough delivered data — an
     // ECT-stripping middlebox) and reverted to Not-ECT sending with pure
     // loss-based control. Sticky for the connection's lifetime.
-    bool ecn_fallback() const { return ecn_fallback_; }
+    bool ecn_fallback() const { return ctl_.ecn_fallback(); }
 
     // Congestion-reaction trace points (CE response, loss recovery, RTO,
     // ECN fallback), with the post-reaction cwnd in the payload.
-    void set_tracer(obs::tracer* t) { tracer_ = t; }
+    void set_tracer(obs::tracer* t) { ctl_.set_tracer(t); }
 
 private:
     struct segment {
@@ -84,7 +86,7 @@ private:
     void send_segment(std::uint64_t seq, std::uint32_t len, bool is_retx);
     void process_ack(const net::packet& pkt);
     void enter_recovery(sim::tick now);
-    void arm_rto();
+    void arm_rto() { ctl_.arm_timer([this] { on_rto_fire(); }); }
     void on_rto_fire();
     std::uint64_t bytes_in_flight() const { return snd_nxt_ - snd_una_; }
     std::uint64_t window() const;
@@ -92,7 +94,7 @@ private:
 
     sim::event_loop& loop_;
     tcp_config cfg_;
-    cc_ptr cc_;
+    sender_control ctl_;
     send_fn send_;
 
     bool established_ = false;
@@ -106,13 +108,6 @@ private:
     std::uint64_t snd_nxt_ = 1;
     std::deque<segment> segments_;
 
-    // RTT estimation (RFC 6298).
-    sim::tick srtt_ = 0;
-    sim::tick rttvar_ = 0;
-    sim::tick rto_ = sim::from_sec(1);
-    sim::event_loop::event_id rto_event_ = 0;
-    int rto_backoff_ = 0;
-
     // Recovery state.
     int dupacks_ = 0;
     bool in_recovery_ = false;
@@ -122,30 +117,17 @@ private:
     // ACE packet field) are differentiated by the wrap-aware trackers shared
     // with the QUIC engine (ecn_feedback.h).
     bool send_cwr_ = false;          // classic: echo CWR on next data segment
-    sim::tick last_ecn_reaction_ = -1;
     ecn_counter_tracker eceb_tracker_{24};
     ecn_counter_tracker ace_tracker_{3};
-    // ECN path validation (AccECN senders): confirmed once any receiver
-    // byte counter moves; fallback once enough data was delivered with
-    // every counter still zero (see k_ecn_validate_segments).
-    bool ecn_confirmed_ = false;
-    bool ecn_fallback_ = false;
 
     // App-limited stream bound (cumulative bytes written via app_write).
     std::uint64_t app_limit_ = 0;
 
     // Delivery-rate estimation for BBR.
     std::uint64_t delivered_ = 0;
-    sim::tick last_ack_time_ = 0;
-
-    // Pacing.
-    sim::tick next_send_allowed_ = 0;
-    bool send_pending_ = false;
 
     std::uint64_t pkt_counter_ = 0;
     std::uint32_t retransmit_count_ = 0;
-    stats::sample_set rtt_samples_;
-    obs::tracer* tracer_ = nullptr;
 };
 
 class tcp_receiver {

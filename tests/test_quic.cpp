@@ -480,7 +480,7 @@ TEST(quic_timers, lost_initial_is_resent_after_200_ms)
         return payload_of(p).handshake && ++initials == 1;
     };
     rig.snd->start();
-    rig.run(sim::from_sec(1));
+    rig.run(sim::from_ms(250));
     // The handshake RTT runs from the first Initial, so it includes the PTO.
     EXPECT_EQ(rig.snd->handshake_rtt(), sim::from_ms(220));
     EXPECT_EQ(initials, 2);
