@@ -1,7 +1,7 @@
 // Congestion-controller interface for the TCP and QUIC engines.
 //
-// Controllers see per-ACK samples (with classic-ECN echo or AccECN CE byte
-// fractions), loss/RTO events, and expose a congestion window plus an
+// Controllers see per-ACK samples (with the AccECN / ACK-ECN CE fraction),
+// classic-ECN, loss and RTO events, and expose a congestion window plus an
 // optional pacing rate. The marking strategies in L4Span are derived from
 // these controllers' response functions, so their control laws follow the
 // published algorithms.
@@ -20,7 +20,6 @@ struct ack_sample {
     std::uint32_t newly_acked = 0;    // bytes newly cumulatively acked
     sim::tick rtt = -1;               // RTT of the newest acked segment (-1: none)
     sim::tick srtt = 0;               // smoothed RTT maintained by the engine
-    bool ece = false;                 // classic ECN echo seen on this ACK
     double ce_fraction = 0.0;         // AccECN: CE bytes / newly acked bytes
     std::uint64_t in_flight = 0;      // bytes outstanding after this ACK
     double delivery_rate_bps = 0.0;   // rate sample for BBR-style controllers

@@ -133,7 +133,6 @@ public:
     void on_ack(ack_sample s, bool classic_ce)
     {
         s.srtt = srtt_;
-        s.ece = classic_ce;
         if (s.newly_acked > 0 || s.ce_fraction > 0.0) {
             cc_->on_ack(s);
             if (s.ce_fraction > 0.0)
