@@ -35,6 +35,9 @@ public:
           initial_timeout_(initial_timeout)
     {
     }
+    // Scheduled timer and pacing events hold `this`.
+    sender_control(const sender_control&) = delete;
+    sender_control& operator=(const sender_control&) = delete;
 
     const congestion_controller& cc() const { return *cc_; }
     const stats::sample_set& rtt_samples() const { return rtt_samples_; }

@@ -461,6 +461,7 @@ std::vector<sim::tick> pto_intervals(quic_pipe_rig& rig, sim::tick at, sim::tick
     };
     rig.snd->start();
     rig.run(until);
+    rig.drop_if = nullptr;  // it refers to `sends`
     // The last transmission an ACK clocked out anchors the first timeout.
     const sim::tick drained = at + 2 * rig.one_way;
     std::size_t i = 0;
