@@ -287,7 +287,7 @@ cell::cell(sim::event_loop& loop, cell_spec spec, int index)
     switch (spec_.cu) {
     case cu_mode::l4span: {
         auto cfg = spec_.l4s;
-        cfg.seed = rng_.fork().engine()();
+        cfg.seed = rng_.fork().next_u64();
         l4span_ = std::make_unique<core::l4span>(cfg);
         hook_ = l4span_.get();
         gnb_->set_cu_hook(l4span_.get());
