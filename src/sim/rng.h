@@ -57,13 +57,14 @@ public:
         return u < 1.0 ? u : 0x1.fffffffffffffp-1;
     }
 
-    // uniform_real_distribution(lo, hi).
+    // Uniform in [lo, hi), as the standard's uniform real distribution.
     double uniform(double lo, double hi) { return uniform() * (hi - lo) + lo; }
 
-    // uniform_int_distribution(lo, hi), inclusive. Lemire's nearly
-    // divisionless downscale (Lemire, "Fast Random Integer Generation in an
-    // Interval", ACM TOMACS 29(1), 2019) over a 128-bit product; the full
-    // 64-bit range returns the raw draw.
+    // Uniform integer in [lo, hi], as libstdc++'s uniform int distribution
+    // draws it: Lemire's nearly divisionless downscale (Lemire, "Fast Random
+    // Integer Generation in an Interval", ACM TOMACS 29(1), 2019) over a
+    // 128-bit product; the full 64-bit range returns the raw draw. lo > hi
+    // is rejected, where the standard leaves it undefined.
     std::int64_t uniform_int(std::int64_t lo, std::int64_t hi)
     {
         if (lo > hi) throw std::invalid_argument("rng::uniform_int: lo > hi");
@@ -86,9 +87,9 @@ public:
         return static_cast<std::int64_t>(ret + base);
     }
 
-    // normal_distribution(mean, stddev) by Marsaglia's polar method, as a
-    // fresh distribution per call: the second variate of each pair is
-    // discarded.
+    // Normal(mean, stddev) by Marsaglia's polar method, as libstdc++'s
+    // normal distribution draws it when a fresh one is made per call: the
+    // second variate of each pair is discarded.
     double normal(double mean, double stddev)
     {
         if (stddev <= 0.0) return mean;
@@ -101,8 +102,9 @@ public:
         }
     }
 
-    // exponential_distribution(1 / mean). The rate is divided by, not the
-    // mean multiplied by: the two differ in the last bit.
+    // Exponential with the given mean, as libstdc++'s exponential
+    // distribution draws it with rate 1 / mean. The rate is divided by, not
+    // the mean multiplied by: the two differ in the last bit.
     double exponential(double mean)
     {
         if (mean <= 0.0) return 0.0;
