@@ -44,6 +44,16 @@ void profile_table::on_ingress(ran::pdcp_sn_t sn, std::uint32_t bytes, sim::tick
     standing_packets_ += 1;
 }
 
+void profile_table::retract(ran::pdcp_sn_t sn)
+{
+    if (count_ == tx_cursor_ ||
+        static_cast<ran::pdcp_sn_t>(first_sn_ + count_ - 1) != sn)
+        return;
+    --count_;
+    standing_bytes_ -= bytes_[phys(count_)];
+    standing_packets_ -= 1;
+}
+
 void profile_table::on_transmitted(ran::pdcp_sn_t highest_sn, sim::tick ts,
                                    const std::function<void(ran::pdcp_sn_t, std::uint32_t)>& txed)
 {

@@ -214,6 +214,30 @@ TEST(l4span_entity, drop_mode_sheds_stripped_tcp_on_the_short_circuit_path)
     EXPECT_EQ(l2.drops(), 0u);
 }
 
+TEST(l4span_entity, standing_bytes_track_the_rlc_backlog_under_drops)
+{
+    // The gNB assigns a PDCP SN only to a packet the CU hook admits, so a
+    // dropped packet's SN goes to the next one. L4Span profiles a packet
+    // before it decides to drop it; it must take that entry back out, or
+    // each drop leaves a phantom standing entry no watermark ever covers.
+    l4span_config cfg;
+    cfg.seed = 3;
+    cfg.drop_non_ecn = true;
+    core::l4span l(cfg);
+    warm_up(l, 200, sim::from_us(500));  // SNs 1..201, sent up to 200
+    ran::pdcp_sn_t next_sn = 202;
+    int dropped = 0;
+    for (int i = 0; i < 1000; ++i) {
+        auto p = tcp_data(net::ecn::not_ect, 1400, /*dport=*/7777);
+        if (l.on_dl_packet(p, 1, 1, next_sn, sim::from_ms(100))) ++next_sn;
+        else ++dropped;
+    }
+    ASSERT_GT(dropped, 0);
+    // The RLC sends everything it admitted: its backlog is empty.
+    l.on_delivery_status(status(next_sn - 1, sim::from_ms(101)), sim::from_ms(101));
+    EXPECT_EQ(l.view(1, 1).standing_bytes, 0u);
+}
+
 TEST(l4span_entity, feedback_for_departed_ue_does_not_resurrect_state)
 {
     // Delivery status and discards are find-only: late F1-U feedback for a
