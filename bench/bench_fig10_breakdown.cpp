@@ -28,6 +28,15 @@ int main()
                 cell.cu = on ? scenario::cu_mode::l4span : scenario::cu_mode::none;
                 cell.seed = 77;
                 scenario::cell_scenario s(cell);
+                // Per-SDU queuing and scheduling delay, reported by the RLC
+                // as each SDU leaves its queue.
+                double queuing_sum = 0.0, sched_sum = 0.0;
+                std::uint64_t reports = 0;
+                s.gnb().set_delay_handler([&](const ran::sdu_delay_report& r) {
+                    queuing_sum += sim::to_ms(r.queuing);
+                    sched_sum += sim::to_ms(r.scheduling);
+                    ++reports;
+                });
                 std::vector<int> handles;
                 for (int u = 0; u < ues; ++u) {
                     scenario::flow_spec f;
@@ -47,8 +56,9 @@ int main()
                 }
                 const double owd = n ? owd_sum / static_cast<double>(n) : 0.0;
                 const double prop = wired_owd + 1.0;  // wired + 5G core hop
-                const double queuing = s.mean_queuing_ms();
-                const double sched_ms = s.mean_scheduling_ms();
+                const double n_reports = static_cast<double>(reports);
+                const double queuing = reports ? queuing_sum / n_reports : 0.0;
+                const double sched_ms = reports ? sched_sum / n_reports : 0.0;
                 const double other = std::max(0.0, owd - prop - queuing - sched_ms);
                 t.add_row({sched == ran::sched_policy::round_robin ? "RR" : "PF",
                            std::to_string(ues), on ? "+" : "-",

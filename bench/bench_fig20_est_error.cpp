@@ -20,8 +20,14 @@ int main()
         cell.channel = chan;
         cell.cu = scenario::cu_mode::l4span;
         cell.seed = 101;
-        cell.record_tx_log = true;  // ground truth for the error distribution
         scenario::cell_scenario s(cell);
+        // Ground truth for the error distribution: every transport block the
+        // MAC sends, (time, bytes), per UE index (UE u has RNTI u + 1).
+        std::vector<std::vector<std::pair<sim::tick, std::uint32_t>>> tx_log(16);
+        s.gnb().set_txlog_handler(
+            [&](ran::rnti_t ue, ran::drb_id_t, std::uint32_t bytes, sim::tick now) {
+                tx_log[ue - 1u].emplace_back(now, bytes);
+            });
         for (int u = 0; u < 16; ++u) {
             scenario::flow_spec f;
             // Classic senders keep the working buffer the paper's Fig. 17
@@ -65,13 +71,13 @@ int main()
             // Anchor the window at the last service instant (the estimator
             // anchors Eq. (3) at the last transmit feedback, not wall time).
             sim::tick end = -1;
-            for (const auto& [ts, b] : s.tx_log(p.ue))
+            for (const auto& [ts, b] : tx_log[static_cast<std::size_t>(p.ue)])
                 if (ts <= p.t && ts > end) end = ts;
             if (end < 0) continue;
             std::uint64_t bytes = 0;
             sim::tick idle = 0, prev = end - window;
             const sim::tick max_gap = sim::from_ms(3);
-            for (const auto& [ts, b] : s.tx_log(p.ue)) {
+            for (const auto& [ts, b] : tx_log[static_cast<std::size_t>(p.ue)]) {
                 if (ts <= end - window || ts > end) continue;
                 if (ts - prev > max_gap) idle += (ts - prev) - max_gap;
                 prev = ts;

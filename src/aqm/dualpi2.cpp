@@ -26,18 +26,10 @@ bool dualpi2_queue::enqueue(net::packet p, sim::tick now)
 
 void dualpi2_queue::maybe_update(sim::tick now)
 {
-    while (now - last_update_ >= k_pi2_t_update) {
-        last_update_ += k_pi2_t_update;
-        // PI control on the classic queue sojourn (estimated from head age).
-        // Gains follow RFC 9332: applied once per t_update against the
-        // sojourn error in seconds.
-        const sim::tick sojourn = cq_.empty() ? 0 : (last_update_ - cq_.front().enq_time);
-        const double err_s = sim::to_sec(sojourn - k_pi2_target);
-        const double delta_s = sim::to_sec(sojourn - prev_sojourn_);
-        p_prime_ += k_pi2_alpha * err_s + k_pi2_beta * delta_s;
-        p_prime_ = std::clamp(p_prime_, 0.0, 1.0);
-        prev_sojourn_ = sojourn;
-    }
+    // PI control on the classic queue sojourn (estimated from head age).
+    pi2_.update(now, [this](sim::tick t) {
+        return cq_.empty() ? 0 : t - cq_.front().enq_time;
+    });
 }
 
 std::optional<net::packet> dualpi2_queue::dequeue(sim::tick now)
@@ -56,8 +48,7 @@ std::optional<net::packet> dualpi2_queue::dequeue(sim::tick now)
             bytes_l_ -= it.pkt.size_bytes();
             const sim::tick sojourn = now - it.enq_time;
             // Native L4S marking: step threshold OR coupled probability.
-            const double p_cl = std::min(1.0, k_coupling * p_prime_);
-            if (sojourn > k_l4s_step || rng_.bernoulli(p_cl)) {
+            if (sojourn > k_l4s_step || rng_.bernoulli(pi2_.p_cl())) {
                 if (net::is_ect(it.pkt.ecn_field) || net::is_ce(it.pkt.ecn_field)) {
                     it.pkt.ecn_field = net::ecn::ce;
                     ++marks_;
@@ -73,8 +64,7 @@ std::optional<net::packet> dualpi2_queue::dequeue(sim::tick now)
         cq_.pop_front();
         bytes_c_ -= it.pkt.size_bytes();
         // Classic: squared probability (matches 1/sqrt(p) senders).
-        const double p_c = p_prime_ * p_prime_;
-        if (rng_.bernoulli(p_c)) {
+        if (rng_.bernoulli(pi2_.p_c())) {
             if (net::is_ect(it.pkt.ecn_field)) {
                 it.pkt.ecn_field = net::ecn::ce;
                 ++marks_;

@@ -6,6 +6,7 @@
 // wireless link.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 
 #include "aqm/queue_discipline.h"
@@ -22,6 +23,38 @@ inline constexpr double k_pi2_beta = 3.2;    // PI proportional gain
 inline constexpr double k_coupling = 2.0;    // k: p_CL = k * p'
 inline constexpr sim::tick k_l4s_step = sim::from_ms(1);  // L4S step-marking threshold
 
+// RFC 9332's PI2 controller: the base probability p' and the two marking
+// probabilities coupled to it, for the wired queue below and the CU-side
+// transplant (scenario::dualpi2_ran_hook).
+class pi2_controller {
+public:
+    // Runs one PI update per t_update period elapsed up to `now`, each on
+    // the classic queue's sojourn `sojourn_at(t)` at that period's end.
+    // Gains follow RFC 9332: applied once per t_update against the sojourn
+    // error in seconds.
+    template <typename SojournAt>
+    void update(sim::tick now, SojournAt&& sojourn_at)
+    {
+        while (now - last_update_ >= k_pi2_t_update) {
+            last_update_ += k_pi2_t_update;
+            const sim::tick sojourn = sojourn_at(last_update_);
+            p_prime_ += k_pi2_alpha * sim::to_sec(sojourn - k_pi2_target) +
+                        k_pi2_beta * sim::to_sec(sojourn - prev_sojourn_);
+            p_prime_ = std::clamp(p_prime_, 0.0, 1.0);
+            prev_sojourn_ = sojourn;
+        }
+    }
+
+    double base_probability() const { return p_prime_; }
+    double p_cl() const { return std::min(1.0, k_coupling * p_prime_); }  // L4S
+    double p_c() const { return p_prime_ * p_prime_; }  // classic (1/sqrt(p) senders)
+
+private:
+    double p_prime_ = 0.0;
+    sim::tick last_update_ = 0;
+    sim::tick prev_sojourn_ = 0;
+};
+
 struct dualpi2_config {
     std::size_t max_bytes = 1 << 24;
     std::uint64_t seed = 42;
@@ -37,7 +70,7 @@ public:
     std::size_t byte_count() const override { return bytes_l_ + bytes_c_; }
     std::size_t packet_count() const override { return lq_.size() + cq_.size(); }
 
-    double base_probability() const { return p_prime_; }
+    double base_probability() const { return pi2_.base_probability(); }
 
 private:
     struct item {
@@ -51,9 +84,7 @@ private:
     sim::rng rng_;
     std::deque<item> lq_, cq_;
     std::size_t bytes_l_ = 0, bytes_c_ = 0;
-    double p_prime_ = 0.0;
-    sim::tick last_update_ = 0;
-    sim::tick prev_sojourn_ = 0;
+    pi2_controller pi2_;
     int wrr_credit_ = 0;  // weighted scheduling between L and C queues
 };
 

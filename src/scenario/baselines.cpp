@@ -61,10 +61,10 @@ bool dualpi2_ran_hook::on_dl_packet(net::packet& pkt, ran::rnti_t ue, ran::drb_i
     const sim::tick sojourn = d.table.head_age(now);
     if (pkt.ecn_field == net::ecn::ect1) {
         // L4S: step threshold OR coupled probability, as in RFC 9332.
-        const double p_cl = std::min(1.0, aqm::k_coupling * d.p_prime);
-        if (sojourn > cfg_.l4s_step || rng_.bernoulli(p_cl)) pkt.ecn_field = net::ecn::ce;
+        if (sojourn > cfg_.l4s_step || rng_.bernoulli(d.pi2.p_cl()))
+            pkt.ecn_field = net::ecn::ce;
     } else if (pkt.ecn_field == net::ecn::ect0) {
-        if (rng_.bernoulli(d.p_prime * d.p_prime)) pkt.ecn_field = net::ecn::ce;
+        if (rng_.bernoulli(d.pi2.p_c())) pkt.ecn_field = net::ecn::ce;
     }
     return true;
 }
@@ -74,15 +74,7 @@ void dualpi2_ran_hook::on_delivery_status(const ran::dl_delivery_status& st, sim
     drb_state& d = drb(st.ue, st.drb);
     if (st.has_transmitted) d.table.on_transmitted(st.highest_transmitted_sn, st.timestamp, {});
     d.table.prune(now, sim::from_sec(1));
-
-    while (now - d.last_update >= aqm::k_pi2_t_update) {
-        d.last_update += aqm::k_pi2_t_update;
-        const sim::tick sojourn = d.table.head_age(d.last_update);
-        d.p_prime += aqm::k_pi2_alpha * sim::to_sec(sojourn - aqm::k_pi2_target) +
-                     aqm::k_pi2_beta * sim::to_sec(sojourn - d.prev_sojourn);
-        d.p_prime = std::clamp(d.p_prime, 0.0, 1.0);
-        d.prev_sojourn = sojourn;
-    }
+    d.pi2.update(now, [&d](sim::tick t) { return d.table.head_age(t); });
 }
 
 }  // namespace l4span::scenario

@@ -68,9 +68,7 @@ public:
 private:
     struct drb_state {
         core::profile_table table;
-        double p_prime = 0.0;
-        sim::tick last_update = 0;
-        sim::tick prev_sojourn = 0;
+        aqm::pi2_controller pi2;
     };
 
     drb_state& drb(ran::rnti_t ue, ran::drb_id_t id)

@@ -267,14 +267,103 @@ flow_endpoints make_flow_endpoints(sim::event_loop& loop, const flow_spec& spec,
     return ep;
 }
 
-double flow_goodput_mbps(const flow_spec& spec, const flow_endpoints& ep,
-                         sim::tick scenario_duration)
+// --- flow table -------------------------------------------------------------
+
+int flow_table::add_flow_rec(const flow_spec& spec, cell& c, ran::rnti_t rnti,
+                             sim::event_loop& loop,
+                             std::function<void(net::packet)> dl_send,
+                             std::function<void(net::packet)> ul_send,
+                             obs::tracer* tracer)
 {
-    sim::tick end = spec.stop_time >= 0 ? spec.stop_time : scenario_duration;
-    if (ep.tcp_finished()) end = ep.tcp_finish_time();
-    const sim::tick active = end - spec.start_time;
+    const int handle = static_cast<int>(flows_.size());
+    auto f = std::make_unique<flow_rec>();
+    f->spec = spec;
+    f->wired_owd = sim::from_ms(spec.wired_owd_ms);
+    f->qfi = c.alloc_qfi(rnti);
+    c.map_qos_flow(rnti, f->qfi, is_l4s_cca(spec.cca));
+    f->ep = make_flow_endpoints(loop, spec, handle, spec.ue, std::move(dl_send),
+                                std::move(ul_send), tracer);
+    flows_.push_back(std::move(f));
+    return handle;
+}
+
+const flow_table::flow_rec& flow_table::flow_at(int flow) const
+{
+    if (flow < 0 || static_cast<std::size_t>(flow) >= flows_.size())
+        throw std::out_of_range("flow handle out of range");
+    return *flows_[static_cast<std::size_t>(flow)];
+}
+
+const stats::sample_set& flow_table::owd_ms(int flow) const
+{
+    return flow_at(flow).ep.owd_samples();
+}
+
+const stats::sample_set& flow_table::rtt_ms(int flow) const
+{
+    return flow_at(flow).ep.rtt_samples();
+}
+
+double flow_table::goodput_mbps(int flow) const
+{
+    const flow_rec& f = flow_at(flow);
+    sim::tick end = f.spec.stop_time >= 0 ? f.spec.stop_time : duration_;
+    if (f.ep.tcp_finished()) end = f.ep.tcp_finish_time();
+    const sim::tick active = end - f.spec.start_time;
     if (active <= 0) return 0.0;
-    return static_cast<double>(ep.delivered_bytes()) * 8.0 / sim::to_sec(active) / 1e6;
+    return static_cast<double>(f.ep.delivered_bytes()) * 8.0 / sim::to_sec(active) / 1e6;
+}
+
+const stats::rate_series& flow_table::goodput_series(int flow) const
+{
+    return flow_at(flow).ep.goodput();
+}
+
+double flow_table::fct_ms(int flow) const
+{
+    const flow_rec& f = flow_at(flow);
+    if (!f.ep.tcp_finished()) return -1.0;
+    return sim::to_ms(f.ep.tcp_finish_time() - f.spec.start_time);
+}
+
+std::uint64_t flow_table::delivered_bytes(int flow) const
+{
+    return flow_at(flow).ep.delivered_bytes();
+}
+
+std::uint64_t flow_table::flow_cwnd(int flow) const
+{
+    return flow_at(flow).ep.cwnd_bytes();
+}
+
+const transport::tcp_sender* flow_table::tcp_flow(int flow) const
+{
+    return flow_at(flow).ep.snd.get();
+}
+
+const transport::quic_sender* flow_table::quic_flow(int flow) const
+{
+    return flow_at(flow).ep.qsnd.get();
+}
+
+const media::frame_source* flow_table::frame_stats(int flow) const
+{
+    return flow_at(flow).ep.frame_stats();
+}
+
+std::uint64_t flow_table::flow_retransmits(int flow) const
+{
+    return flow_at(flow).ep.transport_retransmits();
+}
+
+std::uint64_t flow_table::flow_ce_packets(int flow) const
+{
+    return flow_at(flow).ep.ce_packets();
+}
+
+bool flow_table::flow_ecn_fallback(int flow) const
+{
+    return flow_at(flow).ep.ecn_fallback();
 }
 
 // --- cell -------------------------------------------------------------------
@@ -305,18 +394,6 @@ cell::cell(sim::event_loop& loop, cell_spec spec, int index)
     }
 
     for (int u = 0; u < spec_.num_ues; ++u) add_ue(static_cast<std::uint64_t>(u));
-
-    gnb_->set_delay_handler([this](const ran::sdu_delay_report& r) {
-        queuing_sum_ms_ += sim::to_ms(r.queuing);
-        sched_sum_ms_ += sim::to_ms(r.scheduling);
-        ++delay_reports_;
-    });
-    if (spec_.record_tx_log)
-        gnb_->set_txlog_handler(
-            [this](ran::rnti_t ue, ran::drb_id_t, std::uint32_t bytes, sim::tick now) {
-                if (ue >= 1 && ue <= rnti_slots_.size())
-                    rnti_slots_[ue - 1]->tx_log.emplace_back(now, bytes);
-            });
 }
 
 cell::~cell() = default;
@@ -341,11 +418,6 @@ ran::rnti_t cell::add_ue(std::uint64_t variant)
     rnti_slots_[rnti - 1] = r.get();
     ues_.push_back(std::move(r));
     return rnti;
-}
-
-ran::rnti_t cell::rnti_of(std::size_t i) const
-{
-    return ues_.at(i)->rnti;
 }
 
 ran::qfi_t cell::alloc_qfi(ran::rnti_t ue)
@@ -489,24 +561,6 @@ const stats::sample_set& cell::rlc_queue_sdus(ran::rnti_t ue) const
 const stats::value_series& cell::rlc_queue_series(ran::rnti_t ue) const
 {
     return rec(ue).rlc_series;
-}
-
-const std::vector<std::pair<sim::tick, std::uint32_t>>& cell::tx_log(ran::rnti_t ue) const
-{
-    const ue_rec& r = rec(ue);
-    if (!spec_.record_tx_log)
-        throw std::logic_error("cell: tx_log requires cell_spec.record_tx_log");
-    return r.tx_log;
-}
-
-double cell::mean_queuing_ms() const
-{
-    return delay_reports_ ? queuing_sum_ms_ / static_cast<double>(delay_reports_) : 0.0;
-}
-
-double cell::mean_scheduling_ms() const
-{
-    return delay_reports_ ? sched_sum_ms_ / static_cast<double>(delay_reports_) : 0.0;
 }
 
 cell::ue_rec& cell::rec(ran::rnti_t ue)

@@ -87,11 +87,6 @@ struct cell_spec {
     // by cell_scenario only; scenario::topology has no shared wired
     // bottleneck and rejects these.
     std::vector<topo::cross_traffic_spec> cross_traffic;
-    // Record the ground-truth per-TB MAC transmission log (cell::tx_log,
-    // Fig. 20 estimator-error experiments). Off by default: the log costs a
-    // lookup + append per transport block on the per-slot hot path, and
-    // grows without bound over a run.
-    bool record_tx_log = false;
     // Observability (src/obs): with obs.enabled the harness builds an
     // obs::hub (one shard per cell), wires every layer's tracer, samples
     // metric snapshots on the spec's cadence and arms the fault flight
@@ -192,10 +187,57 @@ flow_endpoints make_flow_endpoints(sim::event_loop& loop, const flow_spec& spec,
                                    std::function<void(net::packet)> ul_send,
                                    obs::tracer* tracer = nullptr);
 
-// Goodput over the flow's active period — shared by every harness so the
-// single-cell and multi-cell metric definitions cannot diverge.
-double flow_goodput_mbps(const flow_spec& spec, const flow_endpoints& ep,
-                         sim::tick scenario_duration);
+class cell;
+
+// The per-flow layer of both harnesses (cell_scenario, topology): one record
+// per flow handle and the result accessors over it, so the single-cell and
+// multi-cell metric definitions cannot diverge. Handles are bounds-checked:
+// a bad handle throws std::out_of_range instead of reading a stale or
+// foreign flow.
+class flow_table {
+public:
+    const stats::sample_set& owd_ms(int flow) const;       // one-way delay
+    const stats::sample_set& rtt_ms(int flow) const;       // sender RTT samples
+    double goodput_mbps(int flow) const;                   // over active period
+    const stats::rate_series& goodput_series(int flow) const;
+    double fct_ms(int flow) const;                         // -1 if not finished
+    std::uint64_t delivered_bytes(int flow) const;
+    std::uint64_t flow_cwnd(int flow) const;               // TCP/QUIC flows only
+    const transport::tcp_sender* tcp_flow(int flow) const;
+    const transport::quic_sender* quic_flow(int flow) const;   // quic-* flows
+    const media::frame_source* frame_stats(int flow) const;    // fps > 0 flows
+    std::uint64_t flow_retransmits(int flow) const;        // TCP/QUIC re-sends
+    // CE-marked packets the flow's receiver actually saw (0 for media
+    // flows) — the numerator of the CE-delivery ratio.
+    std::uint64_t flow_ce_packets(int flow) const;
+    // True when the TCP/QUIC sender's ECN path validation gave up and the
+    // flow reverted to Not-ECT sending (false for media flows).
+    bool flow_ecn_fallback(int flow) const;
+
+protected:
+    // Immutable for the run once add_flow returns; only the endpoints move.
+    struct flow_rec {
+        flow_spec spec;
+        ran::qfi_t qfi = 0;
+        sim::tick wired_owd = 0;
+        flow_endpoints ep;
+    };
+
+    flow_table() = default;
+    ~flow_table() = default;
+
+    // The shared half of add_flow: allocates the flow's QFI on `c` for UE
+    // `rnti`, maps it to the UE's per-class DRB, builds the endpoints on
+    // `loop` and records the flow under the next handle, flows_.size(),
+    // which the send callbacks may already capture. Returns that handle.
+    int add_flow_rec(const flow_spec& spec, cell& c, ran::rnti_t rnti,
+                     sim::event_loop& loop, std::function<void(net::packet)> dl_send,
+                     std::function<void(net::packet)> ul_send, obs::tracer* tracer);
+    const flow_rec& flow_at(int flow) const;
+
+    std::vector<std::unique_ptr<flow_rec>> flows_;
+    sim::tick duration_ = 0;  // set by run(); the default end of every flow
+};
 
 class cell {
 public:
@@ -211,7 +253,7 @@ public:
     // vehicular alternation of the "mobile" profile.
     ran::rnti_t add_ue(std::uint64_t variant);
     // RNTI of the i-th UE added (initial construction order).
-    ran::rnti_t rnti_of(std::size_t i) const;
+    ran::rnti_t rnti_of(std::size_t i) const { return ues_.at(i)->rnti; }
     // Allocates the UE's next QFI.
     ran::qfi_t alloc_qfi(ran::rnti_t ue);
     // Routes `qfi` to the UE's per-class DRB; returns the DRB chosen.
@@ -261,11 +303,6 @@ public:
     void attach_obs(obs::tracer* tr, obs::registry* reg);
     const stats::sample_set& rlc_queue_sdus(ran::rnti_t ue) const;
     const stats::value_series& rlc_queue_series(ran::rnti_t ue) const;
-    // Requires cell_spec.record_tx_log (throws std::logic_error otherwise —
-    // an empty log would silently read as "no transmissions").
-    const std::vector<std::pair<sim::tick, std::uint32_t>>& tx_log(ran::rnti_t ue) const;
-    double mean_queuing_ms() const;
-    double mean_scheduling_ms() const;
 
 private:
     struct ue_rec {
@@ -276,7 +313,6 @@ private:
         bool attached = true;
         stats::sample_set rlc_samples;
         stats::value_series rlc_series{sim::from_ms(100)};
-        std::vector<std::pair<sim::tick, std::uint32_t>> tx_log;
     };
 
     ue_rec& rec(ran::rnti_t ue);
@@ -298,9 +334,6 @@ private:
     // reused, so the lookup is a vector indexed by rnti-1.
     std::vector<ue_rec*> rnti_slots_;
 
-    double queuing_sum_ms_ = 0.0;
-    double sched_sum_ms_ = 0.0;
-    std::uint64_t delay_reports_ = 0;
     bool started_ = false;
 };
 

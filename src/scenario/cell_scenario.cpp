@@ -143,8 +143,9 @@ void cell_scenario::downlink_arrival(net::packet pkt)
     // Unknown flow ids (cross-traffic's sentinel) sink here: background
     // packets exist to occupy the bottleneck, not to enter the RAN.
     if (f >= flows_.size()) return;
-    flow_rt& flow = *flows_[f];
-    cell_->deliver_downlink(std::move(pkt), flow.rnti, flow.qfi);
+    const flow_rec& flow = *flows_[f];
+    const ran::rnti_t rnti = cell_->rnti_of(static_cast<std::size_t>(flow.spec.ue));
+    cell_->deliver_downlink(std::move(pkt), rnti, flow.qfi);
 }
 
 void cell_scenario::uplink_arrival(net::packet pkt)
@@ -176,37 +177,26 @@ ran::rnti_t cell_scenario::rnti_at(int ue) const
 int cell_scenario::add_flow(flow_spec fspec)
 {
     const ran::rnti_t rnti = rnti_at(fspec.ue);  // validates the UE index
-    const int handle = static_cast<int>(flows_.size());
-    auto f = std::make_unique<flow_rt>();
-    f->spec = fspec;
-    f->rnti = rnti;
-    f->wired_owd = sim::from_ms(fspec.wired_owd_ms);
-    f->qfi = cell_->alloc_qfi(rnti);
-    cell_->map_qos_flow(rnti, f->qfi, is_l4s_cca(fspec.cca));
+    const sim::tick owd = sim::from_ms(fspec.wired_owd_ms);
+    const auto handle = static_cast<std::uint64_t>(flows_.size());
 
-    auto dl_send = [this, handle](net::packet pkt) {
-        pkt.flow_id = static_cast<std::uint64_t>(handle);
+    auto dl_send = [this, handle, owd](net::packet pkt) {
+        pkt.flow_id = handle;
         // Forward wired path: fixed propagation, then optional bottleneck,
         // then the optional impairment stage (downlink_arrival routes into
         // the RAN; the stage forwards there via its deliver handler).
-        loop_.schedule_after(flows_[static_cast<std::size_t>(handle)]->wired_owd,
-                             [this, pkt = std::move(pkt)]() mutable {
-                                 if (bottleneck_) bottleneck_->send(std::move(pkt));
-                                 else if (impair_dl_) impair_dl_->send(std::move(pkt));
-                                 else downlink_arrival(std::move(pkt));
-                             });
+        loop_.schedule_after(owd, [this, pkt = std::move(pkt)]() mutable {
+            if (bottleneck_) bottleneck_->send(std::move(pkt));
+            else if (impair_dl_) impair_dl_->send(std::move(pkt));
+            else downlink_arrival(std::move(pkt));
+        });
     };
-    auto ul_send = [this, handle](net::packet pkt) {
-        pkt.flow_id = static_cast<std::uint64_t>(handle);
-        cell_->send_uplink(flows_[static_cast<std::size_t>(handle)]->rnti,
-                           std::move(pkt));
+    auto ul_send = [this, handle, rnti](net::packet pkt) {
+        pkt.flow_id = handle;
+        cell_->send_uplink(rnti, std::move(pkt));
     };
-
-    f->ep = make_flow_endpoints(loop_, fspec, handle, fspec.ue, std::move(dl_send),
-                                std::move(ul_send),
-                                hub_ ? &hub_->shard_tracer(0) : nullptr);
-    flows_.push_back(std::move(f));
-    return handle;
+    return add_flow_rec(fspec, *cell_, rnti, loop_, std::move(dl_send),
+                        std::move(ul_send), hub_ ? &hub_->shard_tracer(0) : nullptr);
 }
 
 void cell_scenario::run(sim::tick duration)
@@ -218,81 +208,6 @@ void cell_scenario::run(sim::tick duration)
     if (hub_) hub_->finish(duration);
 }
 
-cell_scenario::flow_rt& cell_scenario::flow_at(int flow) const
-{
-    if (flow < 0 || static_cast<std::size_t>(flow) >= flows_.size())
-        throw std::out_of_range("cell_scenario: flow handle out of range");
-    return *flows_[static_cast<std::size_t>(flow)];
-}
-
-const stats::sample_set& cell_scenario::owd_ms(int flow) const
-{
-    return flow_at(flow).ep.owd_samples();
-}
-
-const stats::sample_set& cell_scenario::rtt_ms(int flow) const
-{
-    return flow_at(flow).ep.rtt_samples();
-}
-
-std::uint64_t cell_scenario::delivered_bytes(int flow) const
-{
-    return flow_at(flow).ep.delivered_bytes();
-}
-
-double cell_scenario::goodput_mbps(int flow) const
-{
-    const flow_rt& f = flow_at(flow);
-    return flow_goodput_mbps(f.spec, f.ep, duration_);
-}
-
-const stats::rate_series& cell_scenario::goodput_series(int flow) const
-{
-    return flow_at(flow).ep.goodput();
-}
-
-std::uint64_t cell_scenario::flow_cwnd(int flow) const
-{
-    return flow_at(flow).ep.cwnd_bytes();
-}
-
-const transport::tcp_sender* cell_scenario::tcp_flow(int flow) const
-{
-    return flow_at(flow).ep.snd.get();
-}
-
-const transport::quic_sender* cell_scenario::quic_flow(int flow) const
-{
-    return flow_at(flow).ep.qsnd.get();
-}
-
-const media::frame_source* cell_scenario::frame_stats(int flow) const
-{
-    return flow_at(flow).ep.frame_stats();
-}
-
-std::uint64_t cell_scenario::flow_retransmits(int flow) const
-{
-    return flow_at(flow).ep.transport_retransmits();
-}
-
-std::uint64_t cell_scenario::flow_ce_packets(int flow) const
-{
-    return flow_at(flow).ep.ce_packets();
-}
-
-bool cell_scenario::flow_ecn_fallback(int flow) const
-{
-    return flow_at(flow).ep.ecn_fallback();
-}
-
-double cell_scenario::fct_ms(int flow) const
-{
-    const flow_rt& f = flow_at(flow);
-    if (!f.ep.tcp_finished()) return -1.0;
-    return sim::to_ms(f.ep.tcp_finish_time() - f.spec.start_time);
-}
-
 const stats::sample_set& cell_scenario::rlc_queue_sdus(int ue) const
 {
     return cell_->rlc_queue_sdus(rnti_at(ue));
@@ -301,21 +216,6 @@ const stats::sample_set& cell_scenario::rlc_queue_sdus(int ue) const
 const stats::value_series& cell_scenario::rlc_queue_series(int ue) const
 {
     return cell_->rlc_queue_series(rnti_at(ue));
-}
-
-double cell_scenario::mean_queuing_ms() const
-{
-    return cell_->mean_queuing_ms();
-}
-
-double cell_scenario::mean_scheduling_ms() const
-{
-    return cell_->mean_scheduling_ms();
-}
-
-const std::vector<std::pair<sim::tick, std::uint32_t>>& cell_scenario::tx_log(int ue) const
-{
-    return cell_->tx_log(rnti_at(ue));
 }
 
 }  // namespace l4span::scenario

@@ -97,12 +97,10 @@ topology::topology(topology_spec spec) : spec_(std::move(spec))
             wired_dl_.back()->set_deliver([this](net::packet pkt) {
                 const std::size_t f = pkt.flow_id;
                 if (f >= flows_.size()) return;
-                flow_rt& fl = *flows_[f];
-                shards_->loop(static_cast<std::size_t>(fl.home))
-                    .schedule_after(fl.wired_owd,
-                                    [this, f, pkt = std::move(pkt)]() mutable {
-                                        route_downlink(f, std::move(pkt));
-                                    });
+                shards_->loop(home_of(f)).schedule_after(
+                    flows_[f]->wired_owd, [this, f, pkt = std::move(pkt)]() mutable {
+                        route_downlink(f, std::move(pkt));
+                    });
             });
         }
         if (spec_.wired_bps > 0.0 && hub_)
@@ -142,8 +140,7 @@ topology::topology(topology_spec spec) : spec_(std::move(spec))
             [this](ran::rnti_t, ran::drb_id_t, net::packet pkt, sim::tick now) {
                 const std::size_t f = pkt.flow_id;
                 if (f >= flows_.size()) return;
-                shards_->post(static_cast<std::size_t>(flows_[f]->home),
-                              now + k_ue_stack_latency,
+                shards_->post(home_of(f), now + k_ue_stack_latency,
                               [this, f, pkt = std::move(pkt)] {
                                   flows_[f]->ep.on_downlink(pkt);
                               });
@@ -155,7 +152,7 @@ topology::topology(topology_spec spec) : spec_(std::move(spec))
             if (f >= flows_.size()) return;
             // Server-side return path: the home shard's uplink impairment
             // stage (when mounted) sits at the end of the wired hop.
-            const std::size_t home = static_cast<std::size_t>(flows_[f]->home);
+            const std::size_t home = home_of(f);
             shards_->post(home, now + flows_[f]->wired_owd,
                           [this, home, pkt = std::move(pkt)]() mutable {
                               if (home < impair_ul_.size())
@@ -178,21 +175,13 @@ int topology::add_flow(flow_spec fspec)
         throw std::invalid_argument(
             "topology: flow wired_owd must be >= the shard sync quantum");
 
-    const int handle = static_cast<int>(flows_.size());
-    ue_entry& u = *ues_[static_cast<std::size_t>(fspec.ue)];
-    auto f = std::make_unique<flow_rt>();
-    f->spec = fspec;
-    f->home = u.home;
-    f->wired_owd = owd;
-    scenario::cell& home_cell = *cells_[static_cast<std::size_t>(u.home)];
-    f->qfi = home_cell.alloc_qfi(u.rnti);
-    home_cell.map_qos_flow(u.rnti, f->qfi, is_l4s_cca(fspec.cca));
+    const ue_entry& u = *ues_[static_cast<std::size_t>(fspec.ue)];
+    const auto home = static_cast<std::size_t>(u.home);
+    const std::size_t handle = flows_.size();
 
-    auto dl_send = [this, handle](net::packet pkt) {
+    auto dl_send = [this, handle, home, owd](net::packet pkt) {
         // Runs on the home shard (the sender lives there).
-        pkt.flow_id = static_cast<std::uint64_t>(handle);
-        flow_rt& fl = *flows_[static_cast<std::size_t>(handle)];
-        const std::size_t home = static_cast<std::size_t>(fl.home);
+        pkt.flow_id = handle;
         if (home < wired_dl_.size()) {
             // Serialization at the wired hop's line rate; the flow's
             // wired_owd propagation is added by the link's deliver handler.
@@ -200,20 +189,16 @@ int topology::add_flow(flow_spec fspec)
             return;
         }
         shards_->loop(home).schedule_after(
-            fl.wired_owd, [this, handle, pkt = std::move(pkt)]() mutable {
-                route_downlink(static_cast<std::size_t>(handle), std::move(pkt));
+            owd, [this, handle, pkt = std::move(pkt)]() mutable {
+                route_downlink(handle, std::move(pkt));
             });
     };
     auto ul_send = [this, handle](net::packet pkt) {
-        pkt.flow_id = static_cast<std::uint64_t>(handle);
-        route_uplink(static_cast<std::size_t>(handle), std::move(pkt));
+        pkt.flow_id = handle;
+        route_uplink(handle, std::move(pkt));
     };
-
-    f->ep = make_flow_endpoints(shards_->loop(static_cast<std::size_t>(u.home)), fspec,
-                                handle, fspec.ue, std::move(dl_send), std::move(ul_send),
-                                shard_tr(static_cast<std::size_t>(u.home)));
-    flows_.push_back(std::move(f));
-    return handle;
+    return add_flow_rec(fspec, *cells_[home], u.rnti, shards_->loop(home),
+                        std::move(dl_send), std::move(ul_send), shard_tr(home));
 }
 
 void topology::route_downlink(std::size_t flow, net::packet pkt)
@@ -221,7 +206,7 @@ void topology::route_downlink(std::size_t flow, net::packet pkt)
     // The wired downlink hop ends here (home shard): apply the path
     // impairment before the UPF hold/route, so held packets are never
     // impaired twice when finish_handover flushes them.
-    const std::size_t home = static_cast<std::size_t>(flows_[flow]->home);
+    const std::size_t home = home_of(flow);
     if (home < impair_dl_.size()) impair_dl_[home]->send(std::move(pkt));
     else forward_downlink(std::move(pkt));
 }
@@ -230,7 +215,7 @@ void topology::forward_downlink(net::packet pkt)
 {
     const std::size_t flow = pkt.flow_id;
     if (flow >= flows_.size()) return;
-    flow_rt& f = *flows_[flow];
+    const flow_rec& f = *flows_[flow];
     ue_entry& u = *ues_[static_cast<std::size_t>(f.spec.ue)];
     if (!u.attached) {
         u.held_dl.push_back(std::move(pkt));  // UPF holds until path switch
@@ -259,8 +244,7 @@ void topology::uplink_arrival(net::packet pkt)
 
 void topology::route_uplink(std::size_t flow, net::packet pkt)
 {
-    flow_rt& f = *flows_[flow];
-    ue_entry& u = *ues_[static_cast<std::size_t>(f.spec.ue)];
+    ue_entry& u = *ues_[static_cast<std::size_t>(flows_[flow]->spec.ue)];
     if (!u.attached) {
         u.held_ul.push_back(std::move(pkt));  // UE stack holds until path switch
         return;
@@ -733,59 +717,11 @@ void topology::run(sim::tick duration)
     if (hub_) hub_->finish(duration);
 }
 
-topology::flow_rt& topology::flow_at(int flow) const
-{
-    if (flow < 0 || static_cast<std::size_t>(flow) >= flows_.size())
-        throw std::out_of_range("topology: flow handle out of range");
-    return *flows_[static_cast<std::size_t>(flow)];
-}
-
 const topology::ue_entry& topology::ue_at(int ue) const
 {
     if (ue < 0 || static_cast<std::size_t>(ue) >= ues_.size())
         throw std::out_of_range("topology: UE index out of range");
     return *ues_[static_cast<std::size_t>(ue)];
-}
-
-const stats::sample_set& topology::owd_ms(int flow) const
-{
-    return flow_at(flow).ep.owd_samples();
-}
-
-const stats::sample_set& topology::rtt_ms(int flow) const
-{
-    return flow_at(flow).ep.rtt_samples();
-}
-
-const stats::rate_series& topology::goodput_series(int flow) const
-{
-    return flow_at(flow).ep.goodput();
-}
-
-double topology::goodput_mbps(int flow) const
-{
-    const flow_rt& f = flow_at(flow);
-    return flow_goodput_mbps(f.spec, f.ep, duration_);
-}
-
-std::uint64_t topology::delivered_bytes(int flow) const
-{
-    return flow_at(flow).ep.delivered_bytes();
-}
-
-std::uint64_t topology::flow_retransmits(int flow) const
-{
-    return flow_at(flow).ep.transport_retransmits();
-}
-
-const media::frame_source* topology::frame_stats(int flow) const
-{
-    return flow_at(flow).ep.frame_stats();
-}
-
-const transport::quic_sender* topology::quic_flow(int flow) const
-{
-    return flow_at(flow).ep.qsnd.get();
 }
 
 int topology::home_cell(int ue) const

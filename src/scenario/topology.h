@@ -82,7 +82,7 @@ struct topology_spec {
     double wired_bps = 0.0;
 };
 
-class topology {
+class topology : public flow_table {
 public:
     explicit topology(topology_spec spec);
     ~topology();
@@ -94,6 +94,7 @@ public:
     sim::tick quantum() const { return shards_->quantum(); }
 
     // `spec.ue` is a global UE index in [0, num_ues). Call before run().
+    // The per-flow results are flow_table's accessors.
     int add_flow(flow_spec spec);
 
     // Schedules one X2/Xn handover (skipped if the UE is mid-handover or
@@ -110,18 +111,6 @@ public:
     void apply_faults(const topo::fault_plan& plan);
 
     void run(sim::tick duration);
-
-    // --- per-flow results (bounds-checked) ---
-    const stats::sample_set& owd_ms(int flow) const;
-    const stats::sample_set& rtt_ms(int flow) const;
-    const stats::rate_series& goodput_series(int flow) const;
-    double goodput_mbps(int flow) const;
-    std::uint64_t delivered_bytes(int flow) const;
-    std::uint64_t flow_retransmits(int flow) const;  // TCP/QUIC data re-sends
-    // Interactive frame stats (nullptr unless the flow has fps > 0).
-    const media::frame_source* frame_stats(int flow) const;
-    // The QUIC engine behind a quic-* flow (nullptr otherwise).
-    const transport::quic_sender* quic_flow(int flow) const;
 
     // --- topology-level introspection ---
     int home_cell(int ue) const;
@@ -177,13 +166,6 @@ private:
         int evac_return = -1;           // cell to return to after an outage
         std::vector<double> recovery_samples;  // ms, blackout -> recovery
     };
-    struct flow_rt {
-        flow_spec spec;
-        int home = 0;  // cached ues_[spec.ue].home
-        ran::qfi_t qfi = 0;
-        sim::tick wired_owd = 0;
-        flow_endpoints ep;
-    };
 
     // All of these run on the UE's home shard. route_downlink pushes the
     // packet through the home shard's impairment stage (when mounted)
@@ -217,7 +199,13 @@ private:
     // to `avoid` when everything is down).
     int pick_neighbor(int avoid, std::size_t shard) const;
 
-    flow_rt& flow_at(int flow) const;
+    // Home shard of `flow`'s UE. Read from any shard: ues_ and each
+    // entry's `home` are immutable during the run.
+    std::size_t home_of(std::size_t flow) const
+    {
+        return static_cast<std::size_t>(
+            ues_[static_cast<std::size_t>(flows_[flow]->spec.ue)]->home);
+    }
     const ue_entry& ue_at(int ue) const;
     // Shard `s`'s tracer, or nullptr with observability off — the one
     // branch every topology-level trace site pays.
@@ -238,7 +226,6 @@ private:
     // lives entirely on its shard's loop, like the impairment stages.
     std::vector<std::unique_ptr<topo::wired_link>> wired_dl_;
     std::vector<std::unique_ptr<ue_entry>> ues_;
-    std::vector<std::unique_ptr<flow_rt>> flows_;
     // cell_down_[shard][cell]: every shard's private copy of the cell-down
     // flags, flipped by pre-armed events at the same tick on every shard —
     // no cross-shard reads, so sharded runs stay byte-identical.
@@ -247,7 +234,6 @@ private:
     // (the RLF handler gets an RNTI and needs the UE it belongs to).
     std::vector<std::unordered_map<ran::rnti_t, int>> cell_rnti_ue_;
     std::unique_ptr<sim::fault_injector> injector_;
-    sim::tick duration_ = 0;
     bool ran_ = false;
     bool faults_applied_ = false;
     std::atomic<std::uint64_t> ho_started_{0};

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "scenario/cell_scenario.h"
+#include "scenario/topology.h"
 #include "topo/wired_link.h"
 
 using namespace l4span;
@@ -180,29 +181,48 @@ TEST(scenario, unknown_inputs_rejected)
 
 TEST(scenario, result_accessors_bounds_check_flow_and_ue_handles)
 {
-    cell_spec c;
-    cell_scenario s(c);
+    // Both harnesses share flow_table: a valid handle works, and every bad
+    // one throws instead of silently reading a stale or foreign flow slot.
+    const auto check_flow_handles = [](const scenario::flow_table& t, int h) {
+        EXPECT_NO_THROW(t.owd_ms(h));
+        for (const int bad : {-1, h + 1, 42}) {
+            EXPECT_THROW(t.owd_ms(bad), std::out_of_range) << bad;
+            EXPECT_THROW(t.rtt_ms(bad), std::out_of_range) << bad;
+            EXPECT_THROW(t.goodput_mbps(bad), std::out_of_range) << bad;
+            EXPECT_THROW(t.goodput_series(bad), std::out_of_range) << bad;
+            EXPECT_THROW(t.fct_ms(bad), std::out_of_range) << bad;
+            EXPECT_THROW(t.delivered_bytes(bad), std::out_of_range) << bad;
+            EXPECT_THROW(t.flow_cwnd(bad), std::out_of_range) << bad;
+            EXPECT_THROW(t.tcp_flow(bad), std::out_of_range) << bad;
+            EXPECT_THROW(t.quic_flow(bad), std::out_of_range) << bad;
+            EXPECT_THROW(t.frame_stats(bad), std::out_of_range) << bad;
+            EXPECT_THROW(t.flow_retransmits(bad), std::out_of_range) << bad;
+            EXPECT_THROW(t.flow_ce_packets(bad), std::out_of_range) << bad;
+            EXPECT_THROW(t.flow_ecn_fallback(bad), std::out_of_range) << bad;
+        }
+    };
+
+    cell_scenario s(cell_spec{});
     const int h = s.add_flow(flow_spec{});
     s.run(sim::from_ms(200));
-    // Valid handles work...
-    EXPECT_NO_THROW(s.owd_ms(h));
+    check_flow_handles(s, h);
     EXPECT_NO_THROW(s.rlc_queue_sdus(0));
-    // ...every bad flow handle throws instead of silently reading a stale
-    // or foreign flow slot.
-    for (const int bad : {-1, 1, 42}) {
-        EXPECT_THROW(s.owd_ms(bad), std::out_of_range) << bad;
-        EXPECT_THROW(s.rtt_ms(bad), std::out_of_range) << bad;
-        EXPECT_THROW(s.goodput_mbps(bad), std::out_of_range) << bad;
-        EXPECT_THROW(s.goodput_series(bad), std::out_of_range) << bad;
-        EXPECT_THROW(s.fct_ms(bad), std::out_of_range) << bad;
-        EXPECT_THROW(s.delivered_bytes(bad), std::out_of_range) << bad;
-        EXPECT_THROW(s.flow_cwnd(bad), std::out_of_range) << bad;
-        EXPECT_THROW(s.tcp_flow(bad), std::out_of_range) << bad;
-    }
     for (const int bad : {-1, 1, 9}) {
         EXPECT_THROW(s.rlc_queue_sdus(bad), std::out_of_range) << bad;
         EXPECT_THROW(s.rlc_queue_series(bad), std::out_of_range) << bad;
-        EXPECT_THROW(s.tx_log(bad), std::out_of_range) << bad;
+    }
+
+    scenario::topology_spec ts;
+    ts.num_cells = 1;
+    scenario::topology t(ts);
+    const int th = t.add_flow(flow_spec{});
+    t.run(sim::from_ms(200));
+    check_flow_handles(t, th);
+    EXPECT_NO_THROW(t.ue_rnti(0));
+    for (const int bad : {-1, 1, 9}) {
+        EXPECT_THROW(t.home_cell(bad), std::out_of_range) << bad;
+        EXPECT_THROW(t.serving_cell(bad), std::out_of_range) << bad;
+        EXPECT_THROW(t.ue_rnti(bad), std::out_of_range) << bad;
     }
 }
 
