@@ -2,6 +2,7 @@
 // truth RLC dequeue rate (from the MAC transmission log), 16 UEs, three
 // channel conditions. The paper reports errors centered near 0%.
 #include <cstdio>
+#include <map>
 #include <vector>
 
 #include "scenario/bench_format.h"
@@ -22,13 +23,13 @@ int main()
         cell.seed = 101;
         scenario::cell_scenario s(cell);
         // Ground truth for the error distribution: every transport block the
-        // MAC sends, (time, bytes), per UE index (UE u has RNTI u + 1).
-        std::vector<std::vector<std::pair<sim::tick, std::uint32_t>>> tx_log(16);
+        // MAC sends, (time, bytes), per RNTI.
+        std::map<ran::rnti_t, std::vector<std::pair<sim::tick, std::uint32_t>>> tx_log;
         s.gnb().set_txlog_handler(
-            [&](ran::rnti_t ue, ran::drb_id_t, std::uint32_t bytes, sim::tick now) {
-                tx_log[ue - 1u].emplace_back(now, bytes);
+            [&](ran::rnti_t rnti, ran::drb_id_t, std::uint32_t bytes, sim::tick now) {
+                tx_log[rnti].emplace_back(now, bytes);
             });
-        for (int u = 0; u < 16; ++u) {
+        for (int u = 0; u < cell.num_ues; ++u) {
             scenario::flow_spec f;
             // Classic senders keep the working buffer the paper's Fig. 17
             // shows: the queue is continuously backlogged, so the RLC log
@@ -48,8 +49,8 @@ int main()
         std::vector<probe> probes;
         const sim::tick window = cell.l4s.coherence_time / 2;
         std::function<void()> sample = [&] {
-            for (int u = 0; u < 16; ++u) {
-                const auto v = s.l4span_layer()->view(static_cast<ran::rnti_t>(u + 1), 1);
+            for (int u = 0; u < cell.num_ues; ++u) {
+                const auto v = s.l4span_layer()->view(s.cell().rnti_of(static_cast<std::size_t>(u)), 1);
                 // Probe while the queue is genuinely backlogged: the
                 // estimate and the RLC service log then measure the same
                 // quantity (an idle bearer has no meaningful dequeue rate).
@@ -70,14 +71,15 @@ int main()
             // semantics the estimator uses.
             // Anchor the window at the last service instant (the estimator
             // anchors Eq. (3) at the last transmit feedback, not wall time).
+            const auto& log = tx_log[s.cell().rnti_of(static_cast<std::size_t>(p.ue))];
             sim::tick end = -1;
-            for (const auto& [ts, b] : tx_log[static_cast<std::size_t>(p.ue)])
+            for (const auto& [ts, b] : log)
                 if (ts <= p.t && ts > end) end = ts;
             if (end < 0) continue;
             std::uint64_t bytes = 0;
             sim::tick idle = 0, prev = end - window;
             const sim::tick max_gap = sim::from_ms(3);
-            for (const auto& [ts, b] : tx_log[static_cast<std::size_t>(p.ue)]) {
+            for (const auto& [ts, b] : log) {
                 if (ts <= end - window || ts > end) continue;
                 if (ts - prev > max_gap) idle += (ts - prev) - max_gap;
                 prev = ts;

@@ -4,8 +4,7 @@
 # machine-readable summary, collected as BENCH_<fig>.json at the repo root —
 # the per-figure trajectories the ROADMAP tracks.
 #
-#   usage: scripts/run_benches.sh [--jobs N] [--quick] [--obs] [--check]
-#                                 [build-dir] [outdir]
+#   usage: scripts/run_benches.sh [--jobs N] [--quick] [--obs] [build-dir] [outdir]
 #
 #   --jobs N   worker threads for the grid benches (default: all cores,
 #              also settable via L4SPAN_BENCH_JOBS; 1 = historical serial run)
@@ -14,17 +13,11 @@
 #              metric snapshots, trace dumps and flight-recorder incident
 #              files land under <outdir>/obs/, with a rendered summary in
 #              <outdir>/obs_report.txt (results are byte-identical either way)
-#   --check    leave the committed BENCH_*.json alone: compare each regenerated
-#              summary with it instead and exit 1 on any difference. Skips the
-#              host-timed tab1 and fig21. The committed files come from one
-#              dev host (libm's log is a platform dependency), so run this on
-#              that host, not in CI.
 set -eu
 
 jobs=${L4SPAN_BENCH_JOBS:-0}
 quick=""
 obs=""
-check=""
 build_dir=""
 out_dir=""
 while [ $# -gt 0 ]; do
@@ -45,12 +38,8 @@ while [ $# -gt 0 ]; do
             obs=1
             shift
             ;;
-        --check)
-            check=1
-            shift
-            ;;
         -*)
-            echo "usage: $0 [--jobs N] [--quick] [--obs] [--check] [build-dir] [outdir]" >&2
+            echo "usage: $0 [--jobs N] [--quick] [--obs] [build-dir] [outdir]" >&2
             exit 2
             ;;
         *)
@@ -66,10 +55,6 @@ while [ $# -gt 0 ]; do
             ;;
     esac
 done
-if [ -n "$check" ] && [ -n "$quick" ]; then
-    echo "error: --check compares full grids with the committed files; drop --quick" >&2
-    exit 2
-fi
 build_dir=${build_dir:-build}
 out_dir=${out_dir:-bench-results}
 repo_root=$(dirname "$0")/..
@@ -127,18 +112,7 @@ for bin in "$build_dir"/bench_*; do
         fi
         if "$bin" "$@" > "$out_dir/$name.txt" 2>&1; then
             tail -n 3 "$out_dir/$name.txt"
-            new="$out_dir/BENCH_$fig.json"
-            committed="$repo_root/BENCH_$fig.json"
-            if [ -z "$check" ]; then
-                cp "$new" "$committed"
-            elif [ "$fig" = tab1 ] || [ "$fig" = fig21 ]; then
-                echo "   check skipped: BENCH_$fig.json is host-timed"
-            elif cmp -s "$new" "$committed"; then
-                echo "   check ok: BENCH_$fig.json matches the committed file"
-            else
-                echo "   MISMATCH: $new differs from the committed BENCH_$fig.json" >&2
-                status=1
-            fi
+            cp "$out_dir/BENCH_$fig.json" "$repo_root/BENCH_$fig.json"
         else
             echo "   FAILED (see $out_dir/$name.txt)" >&2
             status=1

@@ -149,7 +149,7 @@ bool l4span::on_dl_packet(net::packet& pkt, ran::rnti_t ue, ran::drb_id_t drb_id
         // the knob off are byte-identical.
         if (hit && pkt.ecn_field == net::ecn::not_ect && cfg_.drop_non_ecn) {
             ++drops_;
-            d.table.retract(sn);
+            d.table.retract_last();
             trace_dl(obs::reason::drop_non_ecn, p);
             return false;
         }
@@ -197,7 +197,7 @@ bool l4span::on_dl_packet(net::packet& pkt, ran::rnti_t ue, ran::drb_id_t drb_id
         }
         if (pkt.ecn_field == net::ecn::not_ect && cfg_.drop_non_ecn) {
             ++drops_;
-            d.table.retract(sn);
+            d.table.retract_last();
             trace_dl(obs::reason::drop_non_ecn, p);
             return false;
         }

@@ -1,5 +1,7 @@
 #include "core/profile_table.h"
 
+#include <stdexcept>
+
 namespace l4span::core {
 
 void profile_table::grow()
@@ -44,11 +46,10 @@ void profile_table::on_ingress(ran::pdcp_sn_t sn, std::uint32_t bytes, sim::tick
     standing_packets_ += 1;
 }
 
-void profile_table::retract(ran::pdcp_sn_t sn)
+void profile_table::retract_last()
 {
-    if (count_ == tx_cursor_ ||
-        static_cast<ran::pdcp_sn_t>(first_sn_ + count_ - 1) != sn)
-        return;
+    if (count_ == tx_cursor_)
+        throw std::logic_error("profile_table: retract_last with no untransmitted entry");
     --count_;
     standing_bytes_ -= bytes_[phys(count_)];
     standing_packets_ -= 1;

@@ -40,10 +40,11 @@ public:
     // New admitted packet; SNs must arrive contiguous and increasing.
     void on_ingress(ran::pdcp_sn_t sn, std::uint32_t bytes, sim::tick now);
 
-    // Takes back the newest entry, `sn`, for a packet the CU dropped after
-    // profiling it. The gNB then hands the same SN to the next packet, so a
-    // kept entry would shift every later SN and stand forever.
-    void retract(ran::pdcp_sn_t sn);
+    // Takes back the entry on_ingress just added, for a packet the CU
+    // dropped after profiling it. The gNB then hands the same SN to the next
+    // packet, so a kept entry would shift every later SN and stand forever.
+    // Throws std::logic_error if the newest entry is already transmitted.
+    void retract_last();
 
     // F1-U transmit watermark. Invokes `txed` once per newly transmitted
     // packet (SN, bytes) — the estimator's Eq. (3) input.

@@ -16,6 +16,8 @@ namespace {
 
 // One congested-cell grid point of the Fig. 9 / Fig. 24 methodology: `ues`
 // long-lived downloads of one CCA, pooled OWD samples + per-UE goodput.
+// bench/perf/workload.cpp builds its fig09_grid cells the same way; keep the
+// two in step.
 struct tcp_grid_result {
     stats::sample_set owd_ms;      // pooled over all UEs
     stats::sample_set tput_mbps;   // one sample per UE

@@ -1,6 +1,8 @@
 // Packet profile table (§4.3.2): watermark semantics, standing queue,
-// discard reconciliation, pruning.
+// discard reconciliation, retraction, pruning.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "core/profile_table.h"
 
@@ -88,6 +90,22 @@ TEST(profile_table, discard_is_idempotent_and_bounds_checked)
     t.on_discard(99);
     t.on_discard(1);
     EXPECT_EQ(t.standing_bytes(), 0u);
+}
+
+TEST(profile_table, retract_last_takes_back_the_newest_untransmitted_entry)
+{
+    profile_table t;
+    t.on_ingress(1, 100, 0);
+    t.on_ingress(2, 300, 0);
+    t.retract_last();
+    EXPECT_EQ(t.standing_bytes(), 100u);
+    t.on_ingress(2, 50, 0);  // the SN is handed to the next packet
+    EXPECT_EQ(t.standing_bytes(), 150u);
+    ASSERT_TRUE(t.find(2).has_value());
+    EXPECT_EQ(t.find(2)->bytes, 50u);
+    t.on_transmitted(2, sim::from_ms(1), nullptr);
+    EXPECT_EQ(t.standing_bytes(), 0u);
+    EXPECT_THROW(t.retract_last(), std::logic_error);  // already transmitted
 }
 
 TEST(profile_table, prune_drops_settled_old_entries)
