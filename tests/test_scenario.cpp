@@ -3,6 +3,10 @@
 // sweep asserting the headline property for every congestion controller.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "scenario/cell_scenario.h"
 #include "scenario/topology.h"
 #include "topo/wired_link.h"
@@ -224,6 +228,173 @@ TEST(scenario, result_accessors_bounds_check_flow_and_ue_handles)
         EXPECT_THROW(t.serving_cell(bad), std::out_of_range) << bad;
         EXPECT_THROW(t.ue_rnti(bad), std::out_of_range) << bad;
     }
+}
+
+// ---- every endpoint kind: pinned per-flow results ----
+
+namespace {
+
+// Every flow_table accessor of one flow, reduced to exact values.
+struct pinned_flow {
+    std::size_t owd_n;
+    double owd_sum;
+    std::size_t rtt_n;
+    double rtt_sum;
+    double goodput_mbps;
+    std::int64_t series_bytes;
+    std::size_t series_bins;
+    double fct_ms;
+    std::uint64_t delivered;
+    std::uint64_t cwnd;
+    std::uint64_t retransmits;
+    std::uint64_t ce_packets;
+    bool ecn_fallback;
+    bool tcp;
+    bool quic;
+    bool frames;
+    std::uint64_t frames_completed;
+    std::uint64_t frames_stalled;
+
+    bool operator==(const pinned_flow&) const = default;
+};
+
+pinned_flow pin(const scenario::flow_table& t, int h)
+{
+    const media::frame_source* fs = t.frame_stats(h);
+    return {t.owd_ms(h).count(),
+            t.owd_ms(h).sum(),
+            t.rtt_ms(h).count(),
+            t.rtt_ms(h).sum(),
+            t.goodput_mbps(h),
+            t.goodput_series(h).total_bytes(),
+            t.goodput_series(h).bins(),
+            t.fct_ms(h),
+            t.delivered_bytes(h),
+            t.flow_cwnd(h),
+            t.flow_retransmits(h),
+            t.flow_ce_packets(h),
+            t.flow_ecn_fallback(h),
+            t.tcp_flow(h) != nullptr,
+            t.quic_flow(h) != nullptr,
+            fs != nullptr,
+            fs ? fs->frames_completed() : 0,
+            fs ? fs->stalled_frames() : 0};
+}
+
+// The row as a C++ initializer (hex floats are exact), so a deliberate
+// change of behaviour can be re-pinned from the failure message.
+std::string initializer(const pinned_flow& p)
+{
+    const auto b = [](bool v) { return v ? "true" : "false"; };
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "{%zu, %a, %zu, %a, %a, %lld, %zu, %a, %llu, %llu, %llu, %llu, "
+                  "%s, %s, %s, %s, %llu, %llu}",
+                  p.owd_n, p.owd_sum, p.rtt_n, p.rtt_sum, p.goodput_mbps,
+                  static_cast<long long>(p.series_bytes), p.series_bins, p.fct_ms,
+                  static_cast<unsigned long long>(p.delivered),
+                  static_cast<unsigned long long>(p.cwnd),
+                  static_cast<unsigned long long>(p.retransmits),
+                  static_cast<unsigned long long>(p.ce_packets), b(p.ecn_fallback),
+                  b(p.tcp), b(p.quic), b(p.frames),
+                  static_cast<unsigned long long>(p.frames_completed),
+                  static_cast<unsigned long long>(p.frames_stalled));
+    return buf;
+}
+
+}  // namespace
+
+TEST(scenario, every_endpoint_kind_keeps_its_per_flow_results)
+{
+    // One flow of each kind the harness builds, with staggered starts and
+    // mid-run stops so the start/stop scheduling is exercised too. Captured
+    // from the simulator as it stood; a changed value is changed behaviour.
+    struct row {
+        const char* what;
+        flow_spec spec;
+        pinned_flow want;
+    };
+    const auto spec = [](const char* cca, int ue, double start_ms, double stop_ms) {
+        flow_spec f;
+        f.cca = cca;
+        f.ue = ue;
+        f.start_time = sim::from_ms(start_ms);
+        f.stop_time = stop_ms < 0 ? -1 : sim::from_ms(stop_ms);
+        return f;
+    };
+    std::vector<row> rows = {
+        {"tcp bulk", spec("prague", 0, 0, -1),
+         {1009, 0x1.9e543bbe0157ep+14, 997, 0x1.a8da7d4ef459p+15, 0x1.e22adf187080fp+1,
+          1412600, 30, -0x1p+0, 1412600, 19457, 7, 0, false, true, false, false, 0, 0}},
+        {"tcp short", spec("cubic", 1, 100, -1),
+         {215, 0x1.9d9335d89480dp+12, 213, 0x1.8bd988d002e25p+13, 0x1.ba96a3fc0acaep+1,
+          300000, 8, 0x1.5b0c9db65ecc4p+9, 300000, 25687, 2, 0, false, true, false, false,
+          0, 0}},
+        {"tcp frames", spec("prague", 2, 50, 2500),
+         {444, 0x1.4dad2c6b484d7p+13, 439, 0x1.5cf29ccc89b0dp+14, 0x1.f3e559d60db9cp+0,
+          598020, 26, -0x1p+0, 598020, 20100, 5, 0, false, true, false, true, 69, 31}},
+        {"quic bulk", spec("quic-prague", 3, 0, -1),
+         {781, 0x1.2b73b297396d4p+14, 775, 0x1.1cd81134ce3dfp+15, 0x1.7536bff74309bp+1,
+          1093400, 30, -0x1p+0, 1093400, 16575, 17, 28, false, false, true, false, 0, 0}},
+        {"quic frames", spec("quic-prague", 4, 50, 2500),
+         {478, 0x1.85dd75ed8d367p+13, 478, 0x1.6bd7430ad46f7p+14, 0x1.09632a3d2c296p+1,
+          634960, 26, -0x1p+0, 634960, 26176, 3, 2, false, false, true, true, 74, 12}},
+        {"scream", spec("scream", 5, 0, 2500),
+         {1148, 0x1.beb0ac77574f6p+14, 98, 0x1.1f82d1e215336p+12, 0x1.1a21ea35935fcp+2,
+          1377600, 26, -0x1p+0, 1377600, 0, 0, 0, false, false, false, false, 0, 0}},
+        {"udp-prague", spec("udp-prague", 6, 200, -1),
+         {3117, 0x1.1b4b815d76682p+20, 91, 0x1.e1fcfeb2d0a26p+14, 0x1.55fabbd4b30dcp+3,
+          3740400, 30, -0x1p+0, 3740400, 0, 0, 0, false, false, false, false, 0, 0}},
+    };
+    rows[1].spec.flow_bytes = 300000;
+    for (const std::size_t i : {2u, 4u}) {
+        rows[i].spec.fps = 30.0;
+        rows[i].spec.frame_bitrate_bps = 2e6;
+    }
+
+    cell_spec c;
+    c.num_ues = static_cast<int>(rows.size());
+    c.channel = "vehicular";
+    c.cu = cu_mode::l4span;
+    c.seed = 7;
+    c.impair_dl.loss = 0.01;  // so every transport retransmits
+    cell_scenario s(c);
+    std::vector<int> handles;
+    for (const row& r : rows) handles.push_back(s.add_flow(r.spec));
+    s.run(sim::from_sec(3));
+
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const pinned_flow got = pin(s, handles[i]);
+        EXPECT_TRUE(got == rows[i].want) << rows[i].what << ": " << initializer(got);
+    }
+}
+
+TEST(scenario, quic_flow_keeps_its_results_across_a_topology_handover)
+{
+    scenario::topology_spec ts;
+    ts.num_cells = 2;
+    ts.ues_per_cell = 1;
+    ts.cell.cu = cu_mode::l4span;
+    ts.cell.channel = "pedestrian";
+    ts.cell.seed = 11;
+    ts.cell.impair_dl.strip_ect = 1.0;  // so the sender falls back from ECN
+    scenario::topology t(ts);
+    flow_spec f;
+    f.cca = "quic-prague";
+    f.ue = 0;
+    const int h = t.add_flow(f);
+    t.schedule_handover(sim::from_ms(1000), 0, 1);
+    t.schedule_handover(sim::from_ms(2000), 0, 0);
+    t.run(sim::from_sec(3));
+
+    ASSERT_EQ(t.handovers_completed(), 2u);
+    ASSERT_NE(t.quic_flow(h), nullptr);
+    EXPECT_EQ(t.quic_flow(h)->path_migrations(), 2u);
+    const pinned_flow want = {10015, 0x1.3c1a91cab25b6p+22, 9942, 0x1.45b21b92dcf3ep+22,
+                               0x1.2b1c4e5bf53afp+5, 14020808, 31, -0x1p+0, 14020808,
+                               13932608, 0, 0, true, false, true, false, 0, 0};
+    const pinned_flow got = pin(t, h);
+    EXPECT_TRUE(got == want) << initializer(got);
 }
 
 // ---- parameterized sweep: the headline property holds for every CCA ----
