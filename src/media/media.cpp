@@ -64,11 +64,8 @@ void media_receiver::on_packet(const net::packet& pkt)
         acc_.ce_bytes += pkt.payload_bytes;
         acc_.ce_packets += 1;
     }
-    if (pkt.sent_time >= 0) {
-        acc_.newest_owd = now - pkt.sent_time;
-        owd_samples_.add(sim::to_ms(acc_.newest_owd));
-    }
-    goodput_.add(now, pkt.payload_bytes);
+    if (pkt.sent_time >= 0) acc_.newest_owd = now - pkt.sent_time;
+    record(pkt, pkt.payload_bytes, now);
 
     if (!timer_running_) {
         timer_running_ = true;

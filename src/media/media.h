@@ -14,8 +14,7 @@
 
 #include "net/packet.h"
 #include "sim/event_loop.h"
-#include "stats/sample_set.h"
-#include "stats/timeseries.h"
+#include "transport/endpoint.h"
 
 namespace l4span::media {
 
@@ -49,21 +48,21 @@ struct media_config {
     double start_rate_bps = 1e6;
 };
 
-class media_sender {
+class media_sender final : public transport::sender {
 public:
     using send_fn = std::function<void(net::packet)>;
 
     media_sender(sim::event_loop& loop, media_config cfg,
                  std::unique_ptr<rate_controller> rc, send_fn send);
 
-    void start();
-    void stop() { running_ = false; }
+    void start() override;
+    void stop() override { running_ = false; }
 
     // Feedback packet arriving from the receiver.
-    void on_packet(const net::packet& pkt);
+    void on_packet(const net::packet& pkt) override;
 
     double current_rate_bps() const { return rc_->target_bps(); }
-    stats::sample_set& rtt_samples() { return rtt_samples_; }
+    const stats::sample_set& rtt_samples() const override { return rtt_samples_; }
     const rate_controller& controller() const { return *rc_; }
 
 private:
@@ -79,16 +78,18 @@ private:
     stats::sample_set rtt_samples_;
 };
 
-class media_receiver {
+class media_receiver final : public transport::receiver {
 public:
     using send_fn = std::function<void(net::packet)>;
 
     media_receiver(sim::event_loop& loop, media_config cfg, send_fn send_feedback);
 
-    void on_packet(const net::packet& pkt);
+    void on_packet(const net::packet& pkt) override;
 
-    stats::sample_set& owd_samples() { return owd_samples_; }
-    stats::rate_series& goodput() { return goodput_; }
+    std::uint64_t received_bytes() const override
+    {
+        return static_cast<std::uint64_t>(goodput().total_bytes());
+    }
 
 private:
     void emit_feedback();
@@ -99,8 +100,6 @@ private:
     feedback_report acc_;
     std::uint64_t fb_counter_ = 0;
     bool timer_running_ = false;
-    stats::sample_set owd_samples_;
-    stats::rate_series goodput_;
 };
 
 std::unique_ptr<rate_controller> make_scream(const media_config& cfg);

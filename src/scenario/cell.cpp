@@ -74,96 +74,14 @@ std::unique_ptr<chan::link_model> make_ue_link(const cell_spec& spec,
 
 // --- flow endpoints ---------------------------------------------------------
 
-void flow_endpoints::on_downlink(const net::packet& pkt)
-{
-    if (is_media) mrcv->on_packet(pkt);
-    else if (is_quic) qrcv->on_packet(pkt);
-    else rcv->on_packet(pkt);
-}
-
-void flow_endpoints::on_uplink(const net::packet& pkt)
-{
-    if (is_media) msnd->on_packet(pkt);
-    else if (is_quic) qsnd->on_packet(pkt);
-    else snd->on_packet(pkt);
-}
-
-void flow_endpoints::on_path_switch()
-{
-    if (!is_quic) return;
-    qsnd->on_path_switch();
-    qrcv->on_path_switch();
-}
-
-const stats::sample_set& flow_endpoints::owd_samples() const
-{
-    if (is_media) return mrcv->owd_samples();
-    return is_quic ? qrcv->owd_samples() : rcv->owd_samples();
-}
-
-const stats::sample_set& flow_endpoints::rtt_samples() const
-{
-    if (is_media) return msnd->rtt_samples();
-    return is_quic ? qsnd->rtt_samples() : snd->rtt_samples();
-}
-
-const stats::rate_series& flow_endpoints::goodput() const
-{
-    if (is_media) return mrcv->goodput();
-    return is_quic ? qrcv->goodput() : rcv->goodput();
-}
-
-std::uint64_t flow_endpoints::delivered_bytes() const
-{
-    if (is_media) return static_cast<std::uint64_t>(mrcv->goodput().total_bytes());
-    return is_quic ? qrcv->received_bytes() : rcv->received_bytes();
-}
-
-std::uint64_t flow_endpoints::cwnd_bytes() const
-{
-    if (is_media) return 0;
-    return is_quic ? qsnd->cwnd_bytes() : snd->cwnd_bytes();
-}
-
-std::uint64_t flow_endpoints::transport_retransmits() const
-{
-    if (is_media) return 0;
-    return is_quic ? qsnd->retransmits() : snd->retransmits();
-}
-
-std::uint64_t flow_endpoints::ce_packets() const
-{
-    if (is_media) return 0;
-    return is_quic ? qrcv->ce_packets() : rcv->ce_packets();
-}
-
-bool flow_endpoints::ecn_fallback() const
-{
-    if (is_media) return false;
-    return is_quic ? qsnd->ecn_fallback() : snd->ecn_fallback();
-}
-
-bool flow_endpoints::tcp_finished() const
-{
-    if (is_media) return false;
-    return is_quic ? qsnd->finished() : snd->finished();
-}
-
-sim::tick flow_endpoints::tcp_finish_time() const
-{
-    if (is_media) return -1;
-    return is_quic ? qsnd->finish_time() : snd->finish_time();
-}
-
 flow_endpoints make_flow_endpoints(sim::event_loop& loop, const flow_spec& spec,
                                    int handle, int ue_addr,
                                    std::function<void(net::packet)> dl_send,
                                    std::function<void(net::packet)> ul_send,
                                    obs::tracer* tracer)
 {
-    flow_endpoints ep;
-    ep.is_media = is_media_cca(spec.cca);
-    ep.is_quic = is_quic_cca(spec.cca);
+    const bool media_cca = is_media_cca(spec.cca);
+    const bool quic_cca = is_quic_cca(spec.cca);
 
     // Synthetic five-tuple: unique server per flow.
     net::five_tuple ft;
@@ -171,7 +89,7 @@ flow_endpoints make_flow_endpoints(sim::event_loop& loop, const flow_spec& spec,
     ft.dst_ip = 0xc0a80001u + static_cast<std::uint32_t>(ue_addr);
     ft.src_port = 443;
     ft.dst_port = static_cast<std::uint16_t>(50000 + handle);
-    ft.proto = (ep.is_media || ep.is_quic) ? net::ip_proto::udp : net::ip_proto::tcp;
+    ft.proto = (media_cca || quic_cca) ? net::ip_proto::udp : net::ip_proto::tcp;
 
     media::frame_source_config fcfg;
     fcfg.fps = spec.fps;
@@ -180,7 +98,8 @@ flow_endpoints make_flow_endpoints(sim::event_loop& loop, const flow_spec& spec,
     fcfg.keyframe_scale = spec.keyframe_scale;
     fcfg.deadline = sim::from_ms(spec.frame_deadline_ms);
 
-    if (ep.is_media) {
+    flow_endpoints ep;
+    if (media_cca) {
         media::media_config mcfg;
         mcfg.ft = ft;
         mcfg.flow_id = static_cast<std::uint64_t>(handle);
@@ -188,14 +107,10 @@ flow_endpoints make_flow_endpoints(sim::event_loop& loop, const flow_spec& spec,
         mcfg.start_rate_bps = spec.media_start_bps;
         auto rc = spec.cca == "scream" ? media::make_scream(mcfg)
                                        : media::make_udp_prague(mcfg);
-        ep.msnd = std::make_unique<media::media_sender>(loop, mcfg, std::move(rc),
-                                                        std::move(dl_send));
-        ep.mrcv = std::make_unique<media::media_receiver>(loop, mcfg, std::move(ul_send));
-        media::media_sender* snd = ep.msnd.get();
-        loop.schedule_at(spec.start_time, [snd] { snd->start(); });
-        if (spec.stop_time >= 0)
-            loop.schedule_at(spec.stop_time, [snd] { snd->stop(); });
-    } else if (ep.is_quic) {
+        ep.snd = std::make_unique<media::media_sender>(loop, mcfg, std::move(rc),
+                                                       std::move(dl_send));
+        ep.rcv = std::make_unique<media::media_receiver>(loop, mcfg, std::move(ul_send));
+    } else if (quic_cca) {
         transport::quic::quic_config qcfg;
         qcfg.mtu_payload = spec.mss;
         qcfg.max_cwnd = spec.max_cwnd;
@@ -204,31 +119,25 @@ flow_endpoints make_flow_endpoints(sim::event_loop& loop, const flow_spec& spec,
         qcfg.ft = ft;
         qcfg.flow_id = static_cast<std::uint64_t>(handle);
         auto cc = transport::make_cc(quic_cc_of(spec.cca), spec.mss);
-        ep.qsnd = std::make_unique<transport::quic_sender>(loop, qcfg, std::move(cc),
-                                                           std::move(dl_send));
-        ep.qsnd->set_tracer(tracer);
-        ep.qrcv = std::make_unique<transport::quic_receiver>(loop, qcfg,
-                                                             std::move(ul_send));
-        transport::quic_sender* snd = ep.qsnd.get();
+        auto snd = std::make_unique<transport::quic_sender>(loop, qcfg, std::move(cc),
+                                                            std::move(dl_send));
+        snd->set_tracer(tracer);
+        auto rcv = std::make_unique<transport::quic_receiver>(loop, qcfg,
+                                                              std::move(ul_send));
         if (spec.fps > 0.0) {
             // One stream per frame (stream id == frame id), closed by FIN;
             // completion comes back through the receiver's stream handler.
             ep.frames = std::make_unique<media::frame_source>(
-                loop, fcfg, [snd](std::uint64_t frame_id, std::uint32_t bytes) {
-                    snd->write(frame_id, bytes, /*fin=*/true);
+                loop, fcfg, [s = snd.get()](std::uint64_t frame_id, std::uint32_t bytes) {
+                    s->write(frame_id, bytes, /*fin=*/true);
                 });
-            media::frame_source* fr = ep.frames.get();
-            ep.qrcv->set_stream_complete_handler(
-                [fr](transport::quic::stream_id_t stream, sim::tick now) {
+            rcv->set_stream_complete_handler(
+                [fr = ep.frames.get()](transport::quic::stream_id_t stream, sim::tick now) {
                     fr->on_frame_complete(stream, now);
                 });
-            loop.schedule_at(spec.start_time, [fr] { fr->start(); });
-            if (spec.stop_time >= 0)
-                loop.schedule_at(spec.stop_time, [fr] { fr->stop(); });
         }
-        loop.schedule_at(spec.start_time, [snd] { snd->start(); });
-        if (spec.stop_time >= 0)
-            loop.schedule_at(spec.stop_time, [snd] { snd->stop(); });
+        ep.snd = std::move(snd);
+        ep.rcv = std::move(rcv);
     } else {
         transport::tcp_config tcfg;
         tcfg.mss = spec.mss;
@@ -239,31 +148,36 @@ flow_endpoints make_flow_endpoints(sim::event_loop& loop, const flow_spec& spec,
         tcfg.flow_id = static_cast<std::uint64_t>(handle);
         auto cc = transport::make_cc(spec.cca, spec.mss);
         const bool accecn = cc->uses_accecn();
-        ep.snd = std::make_unique<transport::tcp_sender>(loop, tcfg, std::move(cc),
-                                                         std::move(dl_send));
-        ep.snd->set_tracer(tracer);
-        ep.rcv = std::make_unique<transport::tcp_receiver>(loop, tcfg, accecn,
-                                                           std::move(ul_send));
-        transport::tcp_sender* snd = ep.snd.get();
+        auto snd = std::make_unique<transport::tcp_sender>(loop, tcfg, std::move(cc),
+                                                           std::move(dl_send));
+        snd->set_tracer(tracer);
+        auto rcv = std::make_unique<transport::tcp_receiver>(loop, tcfg, accecn,
+                                                             std::move(ul_send));
         if (spec.fps > 0.0) {
             // Frames occupy consecutive ranges of the TCP byte stream; the
             // receiver's in-order point completes them.
             ep.frames = std::make_unique<media::frame_source>(
-                loop, fcfg, [snd](std::uint64_t, std::uint32_t bytes) {
-                    snd->app_write(bytes);
+                loop, fcfg, [s = snd.get()](std::uint64_t, std::uint32_t bytes) {
+                    s->app_write(bytes);
                 });
-            media::frame_source* fr = ep.frames.get();
-            ep.rcv->set_deliver_handler([fr](std::uint64_t bytes, sim::tick now) {
-                fr->on_bytes_delivered(bytes, now);
-            });
-            loop.schedule_at(spec.start_time, [fr] { fr->start(); });
-            if (spec.stop_time >= 0)
-                loop.schedule_at(spec.stop_time, [fr] { fr->stop(); });
+            rcv->set_deliver_handler(
+                [fr = ep.frames.get()](std::uint64_t bytes, sim::tick now) {
+                    fr->on_bytes_delivered(bytes, now);
+                });
         }
-        loop.schedule_at(spec.start_time, [snd] { snd->start(); });
-        if (spec.stop_time >= 0)
-            loop.schedule_at(spec.stop_time, [snd] { snd->stop(); });
+        ep.snd = std::move(snd);
+        ep.rcv = std::move(rcv);
     }
+
+    // The frame source's events are scheduled first, so at an equal tick it
+    // starts (writing its first frame) or stops before the sender does.
+    if (media::frame_source* fr = ep.frames.get()) {
+        loop.schedule_at(spec.start_time, [fr] { fr->start(); });
+        if (spec.stop_time >= 0) loop.schedule_at(spec.stop_time, [fr] { fr->stop(); });
+    }
+    transport::sender* snd = ep.snd.get();
+    loop.schedule_at(spec.start_time, [snd] { snd->start(); });
+    if (spec.stop_time >= 0) loop.schedule_at(spec.stop_time, [snd] { snd->stop(); });
     return ep;
 }
 
@@ -296,74 +210,75 @@ const flow_table::flow_rec& flow_table::flow_at(int flow) const
 
 const stats::sample_set& flow_table::owd_ms(int flow) const
 {
-    return flow_at(flow).ep.owd_samples();
+    return flow_at(flow).ep.rcv->owd_samples();
 }
 
 const stats::sample_set& flow_table::rtt_ms(int flow) const
 {
-    return flow_at(flow).ep.rtt_samples();
+    return flow_at(flow).ep.snd->rtt_samples();
 }
 
 double flow_table::goodput_mbps(int flow) const
 {
     const flow_rec& f = flow_at(flow);
     sim::tick end = f.spec.stop_time >= 0 ? f.spec.stop_time : duration_;
-    if (f.ep.tcp_finished()) end = f.ep.tcp_finish_time();
+    if (f.ep.snd->finished()) end = f.ep.snd->finish_time();
     const sim::tick active = end - f.spec.start_time;
     if (active <= 0) return 0.0;
-    return static_cast<double>(f.ep.delivered_bytes()) * 8.0 / sim::to_sec(active) / 1e6;
+    return static_cast<double>(f.ep.rcv->received_bytes()) * 8.0 / sim::to_sec(active) /
+           1e6;
 }
 
 const stats::rate_series& flow_table::goodput_series(int flow) const
 {
-    return flow_at(flow).ep.goodput();
+    return flow_at(flow).ep.rcv->goodput();
 }
 
 double flow_table::fct_ms(int flow) const
 {
     const flow_rec& f = flow_at(flow);
-    if (!f.ep.tcp_finished()) return -1.0;
-    return sim::to_ms(f.ep.tcp_finish_time() - f.spec.start_time);
+    if (!f.ep.snd->finished()) return -1.0;
+    return sim::to_ms(f.ep.snd->finish_time() - f.spec.start_time);
 }
 
 std::uint64_t flow_table::delivered_bytes(int flow) const
 {
-    return flow_at(flow).ep.delivered_bytes();
+    return flow_at(flow).ep.rcv->received_bytes();
 }
 
 std::uint64_t flow_table::flow_cwnd(int flow) const
 {
-    return flow_at(flow).ep.cwnd_bytes();
+    return flow_at(flow).ep.snd->cwnd_bytes();
 }
 
 const transport::tcp_sender* flow_table::tcp_flow(int flow) const
 {
-    return flow_at(flow).ep.snd.get();
+    return dynamic_cast<const transport::tcp_sender*>(flow_at(flow).ep.snd.get());
 }
 
 const transport::quic_sender* flow_table::quic_flow(int flow) const
 {
-    return flow_at(flow).ep.qsnd.get();
+    return dynamic_cast<const transport::quic_sender*>(flow_at(flow).ep.snd.get());
 }
 
 const media::frame_source* flow_table::frame_stats(int flow) const
 {
-    return flow_at(flow).ep.frame_stats();
+    return flow_at(flow).ep.frames.get();
 }
 
 std::uint64_t flow_table::flow_retransmits(int flow) const
 {
-    return flow_at(flow).ep.transport_retransmits();
+    return flow_at(flow).ep.snd->retransmits();
 }
 
 std::uint64_t flow_table::flow_ce_packets(int flow) const
 {
-    return flow_at(flow).ep.ce_packets();
+    return flow_at(flow).ep.rcv->ce_packets();
 }
 
 bool flow_table::flow_ecn_fallback(int flow) const
 {
-    return flow_at(flow).ep.ecn_fallback();
+    return flow_at(flow).ep.snd->ecn_fallback();
 }
 
 // --- cell -------------------------------------------------------------------

@@ -142,39 +142,14 @@ bool is_quic_cca(const std::string& cca);
 std::string quic_cc_of(const std::string& cca);
 
 // One flow's endpoints: server-side sender and UE-side receiver (TCP, QUIC
-// or media), wired to scenario-supplied send callbacks. Both endpoints live
-// on the loop they were created with — in a sharded topology that is the
-// UE's home shard, which never changes even as the UE hands over between
-// cells.
+// or media, behind transport::sender/receiver), wired to scenario-supplied
+// send callbacks. Both endpoints live on the loop they were created with —
+// in a sharded topology that is the UE's home shard, which never changes
+// even as the UE hands over between cells.
 struct flow_endpoints {
-    bool is_media = false;
-    bool is_quic = false;
-    std::unique_ptr<transport::tcp_sender> snd;
-    std::unique_ptr<transport::tcp_receiver> rcv;
-    std::unique_ptr<transport::quic_sender> qsnd;
-    std::unique_ptr<transport::quic_receiver> qrcv;
-    std::unique_ptr<media::media_sender> msnd;
-    std::unique_ptr<media::media_receiver> mrcv;
+    std::unique_ptr<transport::sender> snd;
+    std::unique_ptr<transport::receiver> rcv;
     std::unique_ptr<media::frame_source> frames;  // interactive source (fps > 0)
-
-    void on_downlink(const net::packet& pkt);  // deliver to the receiver
-    void on_uplink(const net::packet& pkt);    // deliver feedback to the sender
-
-    // Handover path switch: a QUIC connection rotates to its next issued
-    // CID and keeps going; TCP/media endpoints have nothing to do.
-    void on_path_switch();
-
-    const stats::sample_set& owd_samples() const;
-    const stats::sample_set& rtt_samples() const;
-    const stats::rate_series& goodput() const;
-    std::uint64_t delivered_bytes() const;
-    std::uint64_t cwnd_bytes() const;
-    std::uint64_t transport_retransmits() const;  // TCP/QUIC data re-sends
-    std::uint64_t ce_packets() const;  // CE-marked data packets at the receiver
-    bool ecn_fallback() const;         // the sender found the path strips ECN
-    bool tcp_finished() const;
-    sim::tick tcp_finish_time() const;
-    const media::frame_source* frame_stats() const { return frames.get(); }
 };
 
 // Builds the endpoints for `spec` and schedules their start/stop events on

@@ -65,7 +65,7 @@ cell_scenario::cell_scenario(cell_spec spec) : spec_(std::move(spec))
         [this](ran::rnti_t, ran::drb_id_t, net::packet pkt, sim::tick) {
             const std::size_t f = pkt.flow_id;
             if (f >= flows_.size()) return;
-            flows_[f]->ep.on_downlink(pkt);
+            flows_[f]->ep.rcv->on_packet(pkt);
         });
 
     // Impairment stages mount only when a knob is on (or force_stage): the
@@ -154,7 +154,7 @@ void cell_scenario::uplink_arrival(net::packet pkt)
     if (f >= flows_.size()) return;
     // Reverse wired path back to the server.
     loop_.schedule_after(flows_[f]->wired_owd, [this, f, pkt = std::move(pkt)] {
-        flows_[f]->ep.on_uplink(pkt);
+        flows_[f]->ep.snd->on_packet(pkt);
     });
 }
 

@@ -1,11 +1,13 @@
 // End-to-end single-cell experiment harness: builds one scenario::cell on a
-// private event loop, attaches TCP or media flows with per-flow wired server
-// paths, runs the simulation and collects the metrics the paper's figures
-// report.
+// private event loop, attaches TCP, QUIC or media flows with per-flow wired
+// server paths, runs the simulation and collects the metrics the paper's
+// figures report.
 //
-// Every bench binary and example is a thin wrapper over this class; the
-// cell wiring itself lives in scenario::cell so the multi-cell topology
-// layer reuses it unchanged.
+// The four examples and most single-cell benches drive this class, directly
+// or through scenario_run; the multi-cell benches (mc_handover,
+// quic_interactive, trace_replay, fault_chaos) run on scenario::topology.
+// The cell wiring itself lives in scenario::cell so the topology layer
+// reuses it unchanged.
 #pragma once
 
 #include <memory>

@@ -142,7 +142,7 @@ topology::topology(topology_spec spec) : spec_(std::move(spec))
                 if (f >= flows_.size()) return;
                 shards_->post(home_of(f), now + k_ue_stack_latency,
                               [this, f, pkt = std::move(pkt)] {
-                                  flows_[f]->ep.on_downlink(pkt);
+                                  flows_[f]->ep.rcv->on_packet(pkt);
                               });
             });
         cp->set_rlf_handler(
@@ -239,7 +239,7 @@ void topology::uplink_arrival(net::packet pkt)
 {
     const std::size_t f = pkt.flow_id;
     if (f >= flows_.size()) return;
-    flows_[f]->ep.on_uplink(pkt);
+    flows_[f]->ep.snd->on_packet(pkt);
 }
 
 void topology::route_uplink(std::size_t flow, net::packet pkt)
@@ -299,44 +299,44 @@ void topology::apply_faults(const topo::fault_plan& plan)
                 "cell_spec.impair_dl/impair_ul");
     }
     faults_applied_ = true;
-    injector_ = std::make_unique<sim::fault_injector>(topo::k_num_fault_classes);
 
-    // Observe hook for one armed event: runs on the firing shard's thread
-    // right before the fault action, emitting the fault_fire trace event and
-    // requesting a flight-recorder incident dump. Empty (and free) with
-    // observability off — sim::fault_injector never learns about obs::.
-    auto observe = [this](std::size_t shard, obs::reason r, std::uint64_t b,
-                          std::uint64_t c) -> sim::callback {
-        obs::tracer* tr = shard_tr(shard);
-        if (!tr) return {};
+    // Schedules `fire` at `when` on `shard`'s loop, the loop that owns the
+    // state it touches, so sharded runs stay byte-identical for any `jobs`.
+    // The event counts itself as injected and, with observability on,
+    // traces the injection and requests a flight-recorder incident dump
+    // before the fault action runs.
+    const auto arm = [this](std::size_t shard, sim::tick when, topo::fault_class cls,
+                            obs::reason r, std::uint64_t b, std::uint64_t c, auto fire) {
+        const auto k = static_cast<std::size_t>(cls);
+        ++faults_armed_[k];
         sim::event_loop* lp = &shards_->loop(shard);
-        return [tr, lp, r, b, c] {
-            tr->emit(lp->now(), obs::point::fault_fire, r, 0, b, c);
-            tr->request_incident(lp->now(), "fault");
-        };
+        lp->schedule_at(when, [this, k, tr = shard_tr(shard), lp, r, b, c,
+                               fire = std::move(fire)] {
+            faults_injected_[k].fetch_add(1, std::memory_order_relaxed);
+            if (tr) {
+                tr->emit(lp->now(), obs::point::fault_fire, r, 0, b, c);
+                tr->request_incident(lp->now(), "fault");
+            }
+            fire();
+        });
     };
 
     for (const auto& ev : plan.schedule()) {
-        const std::size_t cls = static_cast<std::size_t>(ev.cls);
         switch (ev.cls) {
         case topo::fault_class::rlf: {
             const std::size_t home =
                 static_cast<std::size_t>(ues_.at(static_cast<std::size_t>(ev.ue))->home);
-            injector_->arm(shards_->loop(home), ev.when, cls,
-                           [this, ue = ev.ue, d = ev.duration] { inject_rlf(ue, d); },
-                           observe(home, obs::reason::fault_rlf,
-                                   static_cast<std::uint64_t>(ev.ue),
-                                   static_cast<std::uint64_t>(ev.duration)));
+            arm(home, ev.when, ev.cls, obs::reason::fault_rlf,
+                static_cast<std::uint64_t>(ev.ue), static_cast<std::uint64_t>(ev.duration),
+                [this, ue = ev.ue, d = ev.duration] { inject_rlf(ue, d); });
             break;
         }
         case topo::fault_class::handover_failure: {
             const std::size_t home =
                 static_cast<std::size_t>(ues_.at(static_cast<std::size_t>(ev.ue))->home);
-            injector_->arm(shards_->loop(home), ev.when, cls,
-                           [this, ue = ev.ue, m = ev.mode] { inject_ho_failure(ue, m); },
-                           observe(home, obs::reason::fault_ho_failure,
-                                   static_cast<std::uint64_t>(ev.ue),
-                                   static_cast<std::uint64_t>(ev.mode)));
+            arm(home, ev.when, ev.cls, obs::reason::fault_ho_failure,
+                static_cast<std::uint64_t>(ev.ue), static_cast<std::uint64_t>(ev.mode),
+                [this, ue = ev.ue, m = ev.mode] { inject_ho_failure(ue, m); });
             break;
         }
         case topo::fault_class::cell_outage: {
@@ -351,12 +351,9 @@ void topology::apply_faults(const topo::fault_plan& plan)
                     evacuate_cell(s, c);
                 };
                 if (s == c)
-                    injector_->arm(shards_->loop(static_cast<std::size_t>(s)),
-                                   ev.when, cls, std::move(down),
-                                   observe(static_cast<std::size_t>(s),
-                                           obs::reason::fault_cell_outage,
-                                           static_cast<std::uint64_t>(c),
-                                           static_cast<std::uint64_t>(ev.duration)));
+                    arm(static_cast<std::size_t>(s), ev.when, ev.cls,
+                        obs::reason::fault_cell_outage, static_cast<std::uint64_t>(c),
+                        static_cast<std::uint64_t>(ev.duration), std::move(down));
                 else
                     shards_->loop(static_cast<std::size_t>(s))
                         .schedule_at(ev.when, std::move(down));
@@ -381,11 +378,9 @@ void topology::apply_faults(const topo::fault_plan& plan)
         }
         case topo::fault_class::link_flap: {
             const std::size_t c = static_cast<std::size_t>(ev.cell);
-            injector_->arm(shards_->loop(c), ev.when, cls,
-                           [this, c] { wired_dl_[c]->set_rate(0.0); },
-                           observe(c, obs::reason::fault_link_flap,
-                                   static_cast<std::uint64_t>(ev.cell),
-                                   static_cast<std::uint64_t>(ev.duration)));
+            arm(c, ev.when, ev.cls, obs::reason::fault_link_flap,
+                static_cast<std::uint64_t>(ev.cell), static_cast<std::uint64_t>(ev.duration),
+                [this, c] { wired_dl_[c]->set_rate(0.0); });
             // The plan's per-cell flap stream never overlaps itself, so
             // this recovery cannot re-enable a later flap's stall.
             shards_->loop(c).schedule_at(ev.when + ev.duration, [this, c] {
@@ -397,11 +392,9 @@ void topology::apply_faults(const topo::fault_plan& plan)
             const std::size_t c = static_cast<std::size_t>(ev.cell);
             topo::path_impairment* st =
                 ev.uplink ? impair_ul_[c].get() : impair_dl_[c].get();
-            injector_->arm(shards_->loop(c), ev.when, cls,
-                           [st, spec = ev.impair] { st->set_spec(spec); },
-                           observe(c, obs::reason::fault_impair_swap,
-                                   static_cast<std::uint64_t>(ev.cell),
-                                   ev.uplink ? 1 : 0));
+            arm(c, ev.when, ev.cls, obs::reason::fault_impair_swap,
+                static_cast<std::uint64_t>(ev.cell), ev.uplink ? 1 : 0,
+                [st, spec = ev.impair] { st->set_spec(spec); });
             break;
         }
         }
@@ -690,7 +683,10 @@ void topology::finish_path_switch(int ue, int target, ran::rnti_t new_rnti,
     // transport state migrates (TCP/media flows have nothing to do). Runs
     // on the home shard, where the endpoints live.
     for (auto& f : flows_)
-        if (f->spec.ue == ue) f->ep.on_path_switch();
+        if (f->spec.ue == ue) {
+            f->ep.snd->on_path_switch();
+            f->ep.rcv->on_path_switch();
+        }
     // Flush held packets in arrival order down the normal paths. Held
     // downlink packets already passed the impairment stage before the UPF
     // hold, so they re-enter after it (forward_downlink).
@@ -759,12 +755,12 @@ const topo::path_impairment* topology::impair_ul_stage(int c) const
 
 std::uint64_t topology::faults_injected(topo::fault_class cls) const
 {
-    return injector_ ? injector_->injected(static_cast<std::size_t>(cls)) : 0;
+    return faults_injected_[static_cast<std::size_t>(cls)].load(std::memory_order_relaxed);
 }
 
 std::uint64_t topology::faults_armed(topo::fault_class cls) const
 {
-    return injector_ ? injector_->armed(static_cast<std::size_t>(cls)) : 0;
+    return faults_armed_[static_cast<std::size_t>(cls)];
 }
 
 std::vector<double> topology::recovery_ms() const

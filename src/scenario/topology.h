@@ -27,6 +27,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -34,7 +35,6 @@
 #include <vector>
 
 #include "scenario/cell.h"
-#include "sim/fault_injector.h"
 #include "sim/shard_group.h"
 #include "topo/fault_plan.h"
 #include "topo/mobility_model.h"
@@ -102,12 +102,12 @@ public:
     void schedule_handover(sim::tick when, int ue, int target_cell);
     void apply(const std::vector<topo::handover_event>& plan);
 
-    // Arms a deterministic chaos schedule (topo::fault_plan) through a
-    // sim::fault_injector: every injection point is pre-armed on the loop
-    // that owns the affected state, so runs stay byte-identical for any
-    // `jobs`. Call once, before run(). Throws std::invalid_argument when
-    // the plan does not fit this topology (shape mismatch, link_flap
-    // without wired_bps, impairment_swap without a mounted stage).
+    // Arms a deterministic chaos schedule (topo::fault_plan): every
+    // injection point is pre-armed on the loop that owns the affected
+    // state, so runs stay byte-identical for any `jobs`. Call once, before
+    // run(). Throws std::invalid_argument when the plan does not fit this
+    // topology (shape mismatch, link_flap without wired_bps,
+    // impairment_swap without a mounted stage).
     void apply_faults(const topo::fault_plan& plan);
 
     void run(sim::tick duration);
@@ -233,7 +233,11 @@ private:
     // rnti -> global UE index per cell, touched only on the owning shard
     // (the RLF handler gets an RNTI and needs the UE it belongs to).
     std::vector<std::unordered_map<ran::rnti_t, int>> cell_rnti_ue_;
-    std::unique_ptr<sim::fault_injector> injector_;
+    // Per-class fault accounting. Armed counts are written before the run;
+    // an injected count is bumped by whichever shard thread fires the event
+    // (relaxed: read only after run() joins the workers).
+    std::array<std::uint64_t, topo::k_num_fault_classes> faults_armed_{};
+    std::array<std::atomic<std::uint64_t>, topo::k_num_fault_classes> faults_injected_{};
     bool ran_ = false;
     bool faults_applied_ = false;
     std::atomic<std::uint64_t> ho_started_{0};

@@ -5,8 +5,8 @@
 // infrastructure itself failing underneath it.
 //
 // Like topo::mobility_model, the plan is pure planning: it emits a sorted
-// schedule of fault_events that scenario::topology replays through
-// sim::fault_injector. Each fault class draws from its own splitmix64-forked
+// schedule of fault_events that scenario::topology::apply_faults arms on
+// the shard loops. Each fault class draws from its own splitmix64-forked
 // RNG stream (fault_seed), so enabling one class never shifts another's
 // draws, plans are stable when classes are added, and runs stay
 // byte-identical for any --jobs value.

@@ -467,8 +467,7 @@ void quic_receiver::on_packet(const net::packet& pkt)
         had_stream = true;
         stream = payload->stream->id;
         on_stream_frame(*payload->stream, now);
-        if (pkt.sent_time >= 0) owd_samples_.add(sim::to_ms(now - pkt.sent_time));
-        goodput_.add(now, payload->stream->len);
+        record(pkt, payload->stream->len, now);
     }
     send_ack(stream, had_stream, now);
 }

@@ -33,54 +33,53 @@
 #include "net/packet.h"
 #include "obs/trace.h"
 #include "sim/event_loop.h"
-#include "stats/sample_set.h"
-#include "stats/timeseries.h"
 #include "transport/cc.h"
 #include "transport/ecn_feedback.h"
+#include "transport/endpoint.h"
 #include "transport/quic_types.h"
 #include "transport/sender_control.h"
 
 namespace l4span::transport {
 
-class quic_sender {
+class quic_sender final : public sender {
 public:
     using send_fn = std::function<void(net::packet)>;
 
     quic_sender(sim::event_loop& loop, quic::quic_config cfg, cc_ptr cc, send_fn send);
 
     // Sends the Initial (padded to 1200 bytes per RFC 9000 §8.1).
-    void start();
-    // Stops generating fresh bulk data (long-lived flow shutdown).
-    void stop() { stopped_ = true; }
+    void start() override;
+    // Stops generating fresh bulk data.
+    void stop() override { stopped_ = true; }
 
     // Appends `bytes` to `stream`'s send buffer (opened on first use); `fin`
     // closes it at the resulting offset. App-limited interactive sources
     // (media::frame_source) drive the engine exclusively through this.
     void write(quic::stream_id_t stream, std::uint64_t bytes, bool fin);
 
-    // Receiver-to-sender path: handshake response or ACK packet arrives.
-    void on_packet(const net::packet& pkt);
+    // Handshake response or ACK packet arrives.
+    void on_packet(const net::packet& pkt) override;
 
     // Path switch (handover): rotate to the next pre-issued connection ID.
     // No transport state is touched — that is the point of CID addressing.
-    void on_path_switch();
+    void on_path_switch() override;
 
     // --- stats ---
     std::uint64_t delivered_bytes() const { return delivered_; }  // acked stream bytes
-    const stats::sample_set& rtt_samples() const { return ctl_.rtt_samples(); }
-    bool finished() const { return finished_; }
-    sim::tick finish_time() const { return finish_time_; }
+    const stats::sample_set& rtt_samples() const override { return ctl_.rtt_samples(); }
+    bool finished() const override { return finished_; }
+    sim::tick finish_time() const override { return finish_time_; }
     sim::tick handshake_rtt() const { return handshake_rtt_; }
-    std::uint64_t cwnd_bytes() const { return ctl_.cc().cwnd(); }
+    std::uint64_t cwnd_bytes() const override { return ctl_.cc().cwnd(); }
     const congestion_controller& cc() const { return ctl_.cc(); }
     // Data re-sends (RACK-declared losses and PTO probes carrying old data).
-    std::uint32_t retransmits() const { return retransmit_count_; }
+    std::uint64_t retransmits() const override { return retransmit_count_; }
     std::uint32_t lost_packets() const { return lost_packets_; }
     // True once ECN validation (RFC 9000 §13.4.2) concluded the path does
     // not deliver ECN-marked packets — every ACK_ECN count still zero after
     // enough delivered data — and the sender reverted to Not-ECT sending.
     // Sticky for the connection's lifetime.
-    bool ecn_fallback() const { return ctl_.ecn_fallback(); }
+    bool ecn_fallback() const override { return ctl_.ecn_fallback(); }
     std::uint32_t path_migrations() const { return path_migrations_; }
     quic::cid_t active_cid() const { return quic::k_cid_base + active_cid_index_; }
     std::uint64_t packets_sent() const { return next_pn_; }
@@ -154,11 +153,11 @@ private:
     int active_cid_index_ = 0;
     std::uint32_t path_migrations_ = 0;
     std::uint64_t pkt_counter_ = 0;
-    std::uint32_t retransmit_count_ = 0;
+    std::uint64_t retransmit_count_ = 0;
     std::uint32_t lost_packets_ = 0;
 };
 
-class quic_receiver {
+class quic_receiver final : public receiver {
 public:
     using send_fn = std::function<void(net::packet)>;
     // In-order connection bytes after each advance (frame sources in
@@ -170,19 +169,17 @@ public:
     quic_receiver(sim::event_loop& loop, quic::quic_config cfg, send_fn send_ack);
 
     // Data (or Initial) arriving at the client.
-    void on_packet(const net::packet& pkt);
+    void on_packet(const net::packet& pkt) override;
 
     // Path switch: the peer rotates its CID; all issued CIDs stay valid.
-    void on_path_switch() { ++path_migrations_; }
+    void on_path_switch() override { ++path_migrations_; }
 
     void set_deliver_handler(deliver_fn f) { on_deliver_ = std::move(f); }
     void set_stream_complete_handler(stream_complete_fn f) { on_stream_ = std::move(f); }
 
     // --- stats ---
-    std::uint64_t received_bytes() const { return delivered_total_; }
-    stats::sample_set& owd_samples() { return owd_samples_; }
-    stats::rate_series& goodput() { return goodput_; }
-    std::uint64_t ce_packets() const { return ecn_.ce; }
+    std::uint64_t received_bytes() const override { return delivered_total_; }
+    std::uint64_t ce_packets() const override { return ecn_.ce; }
     const net::quic::ecn_counts& ecn() const { return ecn_; }
     std::uint64_t cid_drops() const { return cid_drops_; }
     std::uint32_t path_migrations() const { return path_migrations_; }
@@ -215,8 +212,6 @@ private:
     std::uint64_t cid_drops_ = 0;
     std::uint32_t path_migrations_ = 0;
     std::uint64_t pkt_counter_ = 0;
-    stats::sample_set owd_samples_;
-    stats::rate_series goodput_;
 };
 
 }  // namespace l4span::transport

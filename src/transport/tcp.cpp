@@ -316,8 +316,7 @@ void tcp_receiver::on_packet(const net::packet& pkt)
     }
     // duplicates (seq < rcv_nxt_) still generate an ACK
 
-    if (pkt.sent_time >= 0) owd_samples_.add(sim::to_ms(now - pkt.sent_time));
-    goodput_.add(now, pkt.payload_bytes);
+    record(pkt, pkt.payload_bytes, now);
 
     send_ack(pkt, now);
 }

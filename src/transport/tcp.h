@@ -18,10 +18,9 @@
 #include "net/packet.h"
 #include "obs/trace.h"
 #include "sim/event_loop.h"
-#include "stats/sample_set.h"
-#include "stats/timeseries.h"
 #include "transport/cc.h"
 #include "transport/ecn_feedback.h"
+#include "transport/endpoint.h"
 #include "transport/sender_control.h"
 
 namespace l4span::transport {
@@ -37,37 +36,36 @@ struct tcp_config {
     std::uint64_t flow_id = 0;
 };
 
-class tcp_sender {
+class tcp_sender final : public sender {
 public:
     using send_fn = std::function<void(net::packet)>;
 
     tcp_sender(sim::event_loop& loop, tcp_config cfg, cc_ptr cc, send_fn send);
 
     // Sends the SYN.
-    void start();
-    // Stops transmitting new data (long-lived flow shutdown at scenario end).
-    void stop() { stopped_ = true; }
+    void start() override;
+    void stop() override { stopped_ = true; }
 
     // Appends `bytes` to the application stream (app_limited mode only).
     void app_write(std::uint64_t bytes);
 
-    // Receiver-to-sender path: SYNACK or ACK arrives.
-    void on_packet(const net::packet& pkt);
+    // SYNACK or ACK arrives.
+    void on_packet(const net::packet& pkt) override;
 
     // --- stats ---
     std::uint64_t delivered_bytes() const { return snd_una_ > 0 ? snd_una_ - 1 : 0; }
-    const stats::sample_set& rtt_samples() const { return ctl_.rtt_samples(); }
-    bool finished() const { return finished_; }
-    sim::tick finish_time() const { return finish_time_; }
+    const stats::sample_set& rtt_samples() const override { return ctl_.rtt_samples(); }
+    bool finished() const override { return finished_; }
+    sim::tick finish_time() const override { return finish_time_; }
     sim::tick handshake_rtt() const { return handshake_rtt_; }
-    std::uint64_t cwnd_bytes() const { return ctl_.cc().cwnd(); }
+    std::uint64_t cwnd_bytes() const override { return ctl_.cc().cwnd(); }
     const congestion_controller& cc() const { return ctl_.cc(); }
-    std::uint32_t retransmits() const { return retransmit_count_; }
+    std::uint64_t retransmits() const override { return retransmit_count_; }
     // True once the sender concluded the path does not deliver ECN (every
     // AccECN feedback counter still zero after enough delivered data — an
     // ECT-stripping middlebox) and reverted to Not-ECT sending with pure
     // loss-based control. Sticky for the connection's lifetime.
-    bool ecn_fallback() const { return ctl_.ecn_fallback(); }
+    bool ecn_fallback() const override { return ctl_.ecn_fallback(); }
 
     // Congestion-reaction trace points (CE response, loss recovery, RTO,
     // ECN fallback), with the post-reaction cwnd in the payload.
@@ -127,10 +125,10 @@ private:
     std::uint64_t delivered_ = 0;
 
     std::uint64_t pkt_counter_ = 0;
-    std::uint32_t retransmit_count_ = 0;
+    std::uint64_t retransmit_count_ = 0;
 };
 
-class tcp_receiver {
+class tcp_receiver final : public receiver {
 public:
     using send_fn = std::function<void(net::packet)>;
     // In-order delivered byte count after each advance (frame sources key
@@ -140,15 +138,13 @@ public:
     tcp_receiver(sim::event_loop& loop, tcp_config cfg, bool accecn, send_fn send_ack);
 
     // Data (or SYN) arriving at the client.
-    void on_packet(const net::packet& pkt);
+    void on_packet(const net::packet& pkt) override;
 
     void set_deliver_handler(deliver_fn f) { on_deliver_ = std::move(f); }
 
     // --- stats ---
-    std::uint64_t received_bytes() const { return rcv_nxt_ - 1; }
-    stats::sample_set& owd_samples() { return owd_samples_; }
-    stats::rate_series& goodput() { return goodput_; }
-    std::uint64_t ce_packets() const { return ce_packets_; }
+    std::uint64_t received_bytes() const override { return rcv_nxt_ - 1; }
+    std::uint64_t ce_packets() const override { return ce_packets_; }
 
 private:
     void send_ack(const net::packet& data, sim::tick now);
@@ -172,8 +168,6 @@ private:
 
     std::uint64_t ce_packets_ = 0;
     std::uint64_t pkt_counter_ = 0;
-    stats::sample_set owd_samples_;
-    stats::rate_series goodput_;
 };
 
 }  // namespace l4span::transport
