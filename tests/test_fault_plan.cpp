@@ -106,6 +106,16 @@ TEST(fault_plan, event_fields_match_their_class)
     }
 }
 
+TEST(fault_plan, seed_derivation_is_pinned)
+{
+    // Exact values: every fault plan draws its per-(class, lane) streams
+    // from these seeds, so a change here moves every chaos schedule.
+    EXPECT_EQ(topo::fault_seed(9, topo::fault_class::rlf, 0), 0xced1ff39db554c45ull);
+    EXPECT_EQ(topo::fault_seed(9, topo::fault_class::cell_outage, 2), 0x08b584bb1575051bull);
+    EXPECT_EQ(topo::fault_seed(1, topo::fault_class::link_flap, 5), 0x70616f2f48dce01dull);
+    EXPECT_EQ(topo::fault_seed(~0ull, topo::fault_class::rlf, 7), 0xcbfc611b876ad435ull);
+}
+
 TEST(fault_plan, classes_draw_independent_streams)
 {
     // Disabling every other class must not move the RLF stream: each

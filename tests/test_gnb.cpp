@@ -163,3 +163,36 @@ TEST(gnb, unknown_rnti_throws)
     test_rig rig;
     EXPECT_THROW(rig.g->rlc(99, 1), std::out_of_range);
 }
+
+TEST(gnb, qfi_map_survives_detach_and_attach)
+{
+    // Source cell: UE 1 with two DRBs and QoS flows mapped across both.
+    test_rig src;
+    ASSERT_EQ(src.g->add_drb(1, {}), drb_id_t{2});
+    src.g->map_qos_flow(1, 1, 2);
+    src.g->map_qos_flow(1, 2, 1);
+    src.g->map_qos_flow(1, 5, 2);
+    ue_handover_context ctx = src.g->detach_ue(1);
+    const std::vector<std::pair<qfi_t, drb_id_t>> want = {{1, 2}, {2, 1}, {5, 2}};
+    EXPECT_EQ(ctx.qfi_map, want);
+
+    // Target cell (its own UE holds RNTI 1): every QFI lands on the DRB it
+    // mapped to at the source; an unmapped QFI falls back to DRB 1.
+    test_rig dst;
+    const rnti_t rnti = dst.g->attach_ue(std::move(ctx));
+    ASSERT_TRUE(dst.g->has_ue(rnti));
+    std::vector<std::pair<std::uint64_t, drb_id_t>> seen;
+    dst.g->set_deliver_handler([&](rnti_t ue, drb_id_t drb, net::packet p, sim::tick) {
+        if (ue == rnti) seen.emplace_back(p.pkt_id, drb);
+    });
+    const std::vector<std::pair<qfi_t, drb_id_t>> probes = {{1, 2}, {2, 1}, {5, 2}, {7, 1}};
+    for (std::size_t i = 0; i < probes.size(); ++i)
+        dst.g->deliver_downlink(data_packet(1400, i), rnti, probes[i].first);
+    dst.loop.run_until(sim::from_ms(100));
+    ASSERT_EQ(seen.size(), probes.size());
+    for (const auto& [id, drb] : seen)
+        EXPECT_EQ(int{drb}, int{probes[id].second}) << "pkt " << id;
+
+    // A second handover exports the same map.
+    EXPECT_EQ(dst.g->detach_ue(rnti).qfi_map, want);
+}

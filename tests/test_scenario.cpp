@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -228,6 +230,58 @@ TEST(scenario, result_accessors_bounds_check_flow_and_ue_handles)
         EXPECT_THROW(t.serving_cell(bad), std::out_of_range) << bad;
         EXPECT_THROW(t.ue_rnti(bad), std::out_of_range) << bad;
     }
+}
+
+TEST(scenario, l4s_drb_class_follows_the_stamped_codepoint)
+{
+    // With separate DRBs per class, a flow's QFI maps to DRB 1 (L4S) exactly
+    // when its sender stamps ECT(1), and to DRB 2 (classic) otherwise — for
+    // every controller make_cc accepts, its QUIC form, and both media
+    // senders. One UE per flow, so the CU sees each flow under its own RNTI.
+    const std::vector<std::string> ccas = {
+        "reno",      "cubic",      "prague",      "bbr",      "bbr2",
+        "quic-reno", "quic-cubic", "quic-prague", "quic-bbr", "quic-bbr2",
+        "scream",    "udp-prague"};
+    cell_spec c;
+    c.num_ues = static_cast<int>(ccas.size());
+    c.cu = cu_mode::none;
+    c.separate_drbs_per_class = true;
+    c.seed = 5;
+    cell_scenario s(c);
+    for (std::size_t u = 0; u < ccas.size(); ++u) {
+        flow_spec f;
+        f.cca = ccas[u];
+        f.ue = static_cast<int>(u);
+        s.add_flow(f);
+    }
+    // A pass-through CU hook sees every admitted downlink packet together
+    // with the DRB its QFI maps to.
+    struct probe : ran::cu_hook {
+        std::map<ran::rnti_t, std::set<ran::drb_id_t>> drbs;
+        std::set<ran::rnti_t> ect1;
+        bool on_dl_packet(net::packet& p, ran::rnti_t ue, ran::drb_id_t drb,
+                          ran::pdcp_sn_t, sim::tick) override
+        {
+            drbs[ue].insert(drb);
+            if (p.ecn_field == net::ecn::ect1) ect1.insert(ue);
+            return true;
+        }
+        bool on_ul_packet(net::packet&, ran::rnti_t, sim::tick) override { return true; }
+        void on_delivery_status(const ran::dl_delivery_status&, sim::tick) override {}
+    } cu;
+    s.gnb().set_cu_hook(&cu);
+    s.run(sim::from_ms(500));
+
+    std::vector<std::string> l4s;
+    for (std::size_t u = 0; u < ccas.size(); ++u) {
+        const ran::rnti_t rnti = s.cell().rnti_of(u);
+        const bool stamps_ect1 = cu.ect1.count(rnti) > 0;
+        ASSERT_EQ(cu.drbs[rnti].size(), 1u) << ccas[u] << ": one QFI, one DRB";
+        EXPECT_EQ(int{*cu.drbs[rnti].begin()}, stamps_ect1 ? 1 : 2) << ccas[u];
+        if (stamps_ect1) l4s.push_back(ccas[u]);
+    }
+    EXPECT_EQ(l4s, (std::vector<std::string>{"prague", "bbr2", "quic-prague", "quic-bbr2",
+                                             "scream", "udp-prague"}));
 }
 
 // ---- every endpoint kind: pinned per-flow results ----
