@@ -13,6 +13,7 @@
 // scenario document (the grid axes it lists), not of the run. --export
 // re-exports the parsed document (normalized key order/format) and exits.
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "scenario/grid_runner.h"
@@ -84,7 +85,9 @@ int main(int argc, char** argv)
         if (!export_path.empty())
             return scenario::write_scenario_file(export_path, spec);
         return scenario::run_scenario(spec, args);
-    } catch (const scenario::scenario_error& e) {
+    } catch (const std::exception& e) {
+        // A scenario_error, or a run-time failure such as an unwritable
+        // --obs-out artifact.
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
     }

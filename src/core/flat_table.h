@@ -49,8 +49,7 @@ public:
                 const std::size_t at = first_tomb != k_npos ? first_tomb : i;
                 if (first_tomb != k_npos) --tombs_;
                 ctrl_[at] = k_full;
-                keys_[at] = key;
-                vals_[at] = V{};
+                keys_[at] = key;  // vals_[at] is V{}, as in every non-full slot
                 ++size_;
                 return {&vals_[at], true};
             }

@@ -29,7 +29,7 @@ void media_sender::emit()
     p.pkt_id = ++pkt_counter_;
     p.sent_time = loop_.now();
     p.payload_bytes = k_packet_bytes;
-    p.ecn_field = net::ecn::ect1;  // both SCReAM and UDP Prague are L4S flows
+    p.ecn_field = k_data_ecn;
     sent_bytes_ += p.size_bytes();
     send_(std::move(p));
 

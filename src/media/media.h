@@ -40,6 +40,8 @@ public:
 inline constexpr std::uint32_t k_packet_bytes = 1200;  // typical RTP video packet
 inline constexpr double k_min_rate_bps = 150e3;        // rate controller floor
 inline constexpr sim::tick k_feedback_interval = sim::from_ms(30);  // report cadence
+// Both SCReAM and UDP Prague are L4S flows: every media packet carries ECT(1).
+inline constexpr net::ecn k_data_ecn = net::ecn::ect1;
 
 struct media_config {
     net::five_tuple ft;  // downlink direction

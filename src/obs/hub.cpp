@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "stats/json.h"
 
@@ -155,7 +157,7 @@ std::string hub::merged_trace_text() const
     return out;
 }
 
-bool hub::finish(sim::tick now)
+void hub::finish(sim::tick now)
 {
     if (!finished_) {
         finished_ = true;
@@ -165,21 +167,18 @@ bool hub::finish(sim::tick now)
             st.snapshots += '\n';
         }
     }
-    if (cfg_.out_prefix.empty()) return true;
+    if (cfg_.out_prefix.empty()) return;
 
     gather_incidents();
-    bool ok = stats::write_text_file(cfg_.out_prefix + ".metrics.jsonl",
-                                     metrics_text());
-    ok = stats::write_text_file(cfg_.out_prefix + ".trace.jsonl",
-                                merged_trace_text()) &&
-         ok;
-    for (std::size_t i = 0; i < incident_names_.size(); ++i) {
-        ok = stats::write_text_file(
-                 cfg_.out_prefix + ".incident-" + incident_names_[i] + ".jsonl",
-                 incident_bodies_[i]) &&
-             ok;
-    }
-    return ok;
+    const auto write = [this](const std::string& suffix, const std::string& text) {
+        const std::string path = cfg_.out_prefix + suffix;
+        if (!stats::write_text_file(path, text))
+            throw std::runtime_error("obs: cannot write " + path);
+    };
+    write(".metrics.jsonl", metrics_text());
+    write(".trace.jsonl", merged_trace_text());
+    for (std::size_t i = 0; i < incident_names_.size(); ++i)
+        write(".incident-" + incident_names_[i] + ".jsonl", incident_bodies_[i]);
 }
 
 }  // namespace l4span::obs

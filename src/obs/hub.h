@@ -65,8 +65,9 @@ public:
 
     // Takes a final metric snapshot on every shard, merges the per-shard
     // buffers in deterministic order and, when cfg.out_prefix is set,
-    // writes the JSONL artifacts. Returns false on any write failure.
-    bool finish(sim::tick now);
+    // writes the JSONL artifacts. Throws std::runtime_error naming the
+    // first artifact it cannot write.
+    void finish(sim::tick now);
 
     // In-memory views (valid once the simulation has stopped; finish()
     // adds the final snapshot). Incidents are re-gathered from the shard

@@ -101,13 +101,17 @@ drb_id_t gnb::add_drb(rnti_t ue, rlc_config cfg)
     });
 
     u.drbs.push_back(std::move(d));
-    if (u.drbs.size() == 1) u.sdap.set_default_drb(id);
     return id;
 }
 
 void gnb::map_qos_flow(rnti_t ue, qfi_t qfi, drb_id_t drb)
 {
     find_ue(ue).sdap.map(qfi, drb);
+}
+
+qfi_t gnb::add_qos_flow(rnti_t ue, drb_id_t drb)
+{
+    return find_ue(ue).sdap.add(drb);
 }
 
 ue_handover_context gnb::detach_ue(rnti_t ue)

@@ -82,8 +82,12 @@ public:
     // HARQ/uplink randomness — the record→replay bit-identity contract.
     rnti_t add_ue(chan::channel_profile profile);
     rnti_t add_ue(std::unique_ptr<chan::link_model> link);
+    // DRB ids are numbered 1, 2, ... in creation order; DRB 1 is the UE's
+    // default bearer, which carries every unmapped QFI.
     drb_id_t add_drb(rnti_t ue, rlc_config cfg);
     void map_qos_flow(rnti_t ue, qfi_t qfi, drb_id_t drb);
+    // Allocates the UE's next QFI, maps it to `drb` and returns it.
+    qfi_t add_qos_flow(rnti_t ue, drb_id_t drb);
 
     // --- X2/Xn handover ---
     // Exports the UE's bearer state (SN status + forwarded data) and detaches

@@ -25,7 +25,16 @@ public:
         qfi_to_drb_.emplace_back(qfi, drb);
     }
 
-    void set_default_drb(drb_id_t drb) { default_drb_ = drb; }
+    // Maps the UE's next QFI (one above the highest mapped, so allocation
+    // continues after a handover restored the map) to `drb`.
+    qfi_t add(drb_id_t drb)
+    {
+        qfi_t next = 1;
+        for (const auto& [q, d] : qfi_to_drb_)
+            next = std::max(next, static_cast<qfi_t>(q + 1));
+        qfi_to_drb_.emplace_back(next, drb);
+        return next;
+    }
 
     // X2/Xn handover export, sorted by QFI for deterministic replay.
     std::vector<std::pair<qfi_t, drb_id_t>> export_mappings() const
@@ -39,12 +48,11 @@ public:
     {
         for (const auto& [q, d] : qfi_to_drb_)
             if (q == qfi) return d;
-        return default_drb_;
+        return 1;  // unmapped QFIs ride the UE's first (default) DRB
     }
 
 private:
     std::vector<std::pair<qfi_t, drb_id_t>> qfi_to_drb_;
-    drb_id_t default_drb_ = 1;
 };
 
 }  // namespace l4span::ran

@@ -1,6 +1,5 @@
 #include "scenario/cell.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace l4span::scenario {
@@ -8,29 +7,6 @@ namespace l4span::scenario {
 namespace {
 constexpr sim::tick k_sample_period = sim::from_ms(10);
 }  // namespace
-
-bool is_l4s_cca(const std::string& cca)
-{
-    if (is_quic_cca(cca)) return is_l4s_cca(quic_cc_of(cca));
-    return cca == "prague" || cca == "bbr2" || cca == "scream" || cca == "udp-prague";
-}
-
-bool is_media_cca(const std::string& cca)
-{
-    return cca == "scream" || cca == "udp-prague";
-}
-
-bool is_quic_cca(const std::string& cca)
-{
-    return cca.rfind("quic-", 0) == 0;
-}
-
-std::string quic_cc_of(const std::string& cca)
-{
-    if (!is_quic_cca(cca))
-        throw std::invalid_argument("not a quic CCA name: " + cca);
-    return cca.substr(5);
-}
 
 chan::channel_profile channel_by_name(const std::string& name, std::uint64_t variant)
 {
@@ -80,8 +56,8 @@ flow_endpoints make_flow_endpoints(sim::event_loop& loop, const flow_spec& spec,
                                    std::function<void(net::packet)> ul_send,
                                    obs::tracer* tracer)
 {
-    const bool media_cca = is_media_cca(spec.cca);
-    const bool quic_cca = is_quic_cca(spec.cca);
+    const bool media_cca = spec.cca == "scream" || spec.cca == "udp-prague";
+    const bool quic_cca = spec.cca.rfind("quic-", 0) == 0;  // quic-<tcp cc>
 
     // Synthetic five-tuple: unique server per flow.
     net::five_tuple ft;
@@ -110,6 +86,7 @@ flow_endpoints make_flow_endpoints(sim::event_loop& loop, const flow_spec& spec,
         ep.snd = std::make_unique<media::media_sender>(loop, mcfg, std::move(rc),
                                                        std::move(dl_send));
         ep.rcv = std::make_unique<media::media_receiver>(loop, mcfg, std::move(ul_send));
+        ep.data_ecn = media::k_data_ecn;
     } else if (quic_cca) {
         transport::quic::quic_config qcfg;
         qcfg.mtu_payload = spec.mss;
@@ -118,7 +95,8 @@ flow_endpoints make_flow_endpoints(sim::event_loop& loop, const flow_spec& spec,
         qcfg.app_limited = spec.fps > 0.0;
         qcfg.ft = ft;
         qcfg.flow_id = static_cast<std::uint64_t>(handle);
-        auto cc = transport::make_cc(quic_cc_of(spec.cca), spec.mss);
+        auto cc = transport::make_cc(spec.cca.substr(5), spec.mss);
+        ep.data_ecn = cc->data_ecn();
         auto snd = std::make_unique<transport::quic_sender>(loop, qcfg, std::move(cc),
                                                             std::move(dl_send));
         snd->set_tracer(tracer);
@@ -147,6 +125,7 @@ flow_endpoints make_flow_endpoints(sim::event_loop& loop, const flow_spec& spec,
         tcfg.ft = ft;
         tcfg.flow_id = static_cast<std::uint64_t>(handle);
         auto cc = transport::make_cc(spec.cca, spec.mss);
+        ep.data_ecn = cc->data_ecn();
         const bool accecn = cc->uses_accecn();
         auto snd = std::make_unique<transport::tcp_sender>(loop, tcfg, std::move(cc),
                                                            std::move(dl_send));
@@ -193,10 +172,9 @@ int flow_table::add_flow_rec(const flow_spec& spec, cell& c, ran::rnti_t rnti,
     auto f = std::make_unique<flow_rec>();
     f->spec = spec;
     f->wired_owd = sim::from_ms(spec.wired_owd_ms);
-    f->qfi = c.alloc_qfi(rnti);
-    c.map_qos_flow(rnti, f->qfi, is_l4s_cca(spec.cca));
     f->ep = make_flow_endpoints(loop, spec, handle, spec.ue, std::move(dl_send),
                                 std::move(ul_send), tracer);
+    f->qfi = c.add_qos_flow(rnti, f->ep.data_ecn == net::ecn::ect1);
     flows_.push_back(std::move(f));
     return handle;
 }
@@ -324,28 +302,28 @@ ran::rnti_t cell::add_ue(std::uint64_t variant)
     rlc.mode = spec_.rlc_mode;
     rlc.max_queue_sdus = spec_.rlc_queue_sdus;
 
-    auto r = std::make_unique<ue_rec>();
-    r->rnti = rnti;
-    r->default_drb = gnb_->add_drb(rnti, rlc);
-    r->classic_drb = spec_.separate_drbs_per_class ? gnb_->add_drb(rnti, rlc)
-                                                   : r->default_drb;
-    rnti_slots_.resize(std::max<std::size_t>(rnti_slots_.size(), rnti), nullptr);
-    rnti_slots_[rnti - 1] = r.get();
-    ues_.push_back(std::move(r));
+    // DRB 1 carries L4S flows; DRB 2, when the classes are separated,
+    // carries classic ones.
+    gnb_->add_drb(rnti, rlc);
+    if (spec_.separate_drbs_per_class) gnb_->add_drb(rnti, rlc);
+    track_ue(rnti);
     return rnti;
 }
 
-ran::qfi_t cell::alloc_qfi(ran::rnti_t ue)
+void cell::track_ue(ran::rnti_t rnti)
 {
-    return static_cast<ran::qfi_t>(rec(ue).next_qfi++);
+    if (rnti != ues_.size() + 1)
+        throw std::logic_error("cell: gNB assigned RNTI " + std::to_string(rnti) +
+                               ", expected " + std::to_string(ues_.size() + 1));
+    ues_.push_back(std::make_unique<ue_rec>());
 }
 
-ran::drb_id_t cell::map_qos_flow(ran::rnti_t ue, ran::qfi_t qfi, bool l4s_class)
+ran::qfi_t cell::add_qos_flow(ran::rnti_t ue, bool l4s_class)
 {
-    ue_rec& r = rec(ue);
-    const ran::drb_id_t drb = l4s_class ? r.default_drb : r.classic_drb;
-    gnb_->map_qos_flow(ue, qfi, drb);
-    return drb;
+    // A handed-over UE arrives with the DRB ids add_ue gave it at its
+    // first cell, and every cell of a run shares one spec.
+    const ran::drb_id_t drb = !l4s_class && spec_.separate_drbs_per_class ? 2 : 1;
+    return gnb_->add_qos_flow(ue, drb);
 }
 
 void cell::attach_obs(obs::tracer* tr, obs::registry* reg)
@@ -382,12 +360,12 @@ void cell::start()
 void cell::schedule_sampling()
 {
     loop_.schedule_after(k_sample_period, [this] {
-        for (auto& r : ues_) {
-            if (!r->attached) continue;
-            const auto sdus =
-                static_cast<double>(gnb_->rlc(r->rnti, r->default_drb).queued_sdus());
-            r->rlc_samples.add(sdus);
-            r->rlc_series.add(loop_.now(), sdus);
+        for (std::size_t i = 0; i < ues_.size(); ++i) {
+            const auto rnti = static_cast<ran::rnti_t>(i + 1);
+            if (!gnb_->has_ue(rnti)) continue;  // detached: its stats freeze
+            const auto sdus = static_cast<double>(gnb_->rlc(rnti, 1).queued_sdus());
+            ues_[i]->rlc_samples.add(sdus);
+            ues_[i]->rlc_series.add(loop_.now(), sdus);
         }
         schedule_sampling();
     });
@@ -400,16 +378,6 @@ void cell::deliver_downlink(net::packet pkt, ran::rnti_t ue, ran::qfi_t qfi)
     else gnb_->deliver_downlink(std::move(pkt), ue, qfi);
 }
 
-void cell::send_uplink(ran::rnti_t ue, net::packet pkt)
-{
-    gnb_->send_uplink(ue, std::move(pkt));
-}
-
-bool cell::has_ue(ran::rnti_t ue) const
-{
-    return gnb_->has_ue(ue);
-}
-
 ran::ue_handover_context cell::detach_ue(ran::rnti_t ue, hook_transfer ht)
 {
     auto ctx = gnb_->detach_ue(ue);
@@ -419,48 +387,16 @@ ran::ue_handover_context cell::detach_ue(ran::rnti_t ue, hook_transfer ht)
         auto st = hook_->detach_ue(ue);
         if (ht == hook_transfer::migrate) ctx.hook_state = std::move(st);
     }
-    rec(ue).attached = false;  // stats freeze; the record stays queryable
     return ctx;
-}
-
-void cell::set_rlf_handler(ran::gnb::rlf_handler h)
-{
-    gnb_->set_rlf_handler(std::move(h));
 }
 
 ran::rnti_t cell::attach_ue(ran::ue_handover_context ctx)
 {
-    // Bearer bookkeeping mirrored from the context before it is consumed.
-    const bool separated = ctx.drbs.size() > 1;
-    int next_qfi = 1;
-    for (const auto& [qfi, drb] : ctx.qfi_map) {
-        (void)drb;
-        next_qfi = std::max(next_qfi, static_cast<int>(qfi) + 1);
-    }
     auto hook_state = std::move(ctx.hook_state);
-
     const ran::rnti_t rnti = gnb_->attach_ue(std::move(ctx));
     if (hook_ && hook_state) hook_->attach_ue(rnti, std::move(hook_state));
-
-    auto r = std::make_unique<ue_rec>();
-    r->rnti = rnti;
-    r->default_drb = 1;
-    r->classic_drb = separated ? 2 : 1;
-    r->next_qfi = next_qfi;
-    rnti_slots_.resize(std::max<std::size_t>(rnti_slots_.size(), rnti), nullptr);
-    rnti_slots_[rnti - 1] = r.get();
-    ues_.push_back(std::move(r));
+    track_ue(rnti);
     return rnti;
-}
-
-void cell::set_deliver_handler(ran::gnb::deliver_handler h)
-{
-    gnb_->set_deliver_handler(std::move(h));
-}
-
-void cell::set_uplink_handler(ran::gnb::uplink_handler h)
-{
-    gnb_->set_uplink_handler(std::move(h));
 }
 
 void cell::set_linklog_handler(ran::gnb::linklog_handler h)
@@ -478,16 +414,10 @@ const stats::value_series& cell::rlc_queue_series(ran::rnti_t ue) const
     return rec(ue).rlc_series;
 }
 
-cell::ue_rec& cell::rec(ran::rnti_t ue)
-{
-    if (ue < 1 || ue > rnti_slots_.size() || rnti_slots_[ue - 1] == nullptr)
-        throw std::out_of_range("unknown rnti in cell");
-    return *rnti_slots_[ue - 1];
-}
-
 const cell::ue_rec& cell::rec(ran::rnti_t ue) const
 {
-    return const_cast<cell*>(this)->rec(ue);
+    if (ue < 1 || ue > ues_.size()) throw std::out_of_range("unknown rnti in cell");
+    return *ues_[ue - 1];
 }
 
 }  // namespace l4span::scenario

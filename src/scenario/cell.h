@@ -1,5 +1,7 @@
 // One cell of a (possibly multi-cell) experiment: the gNB, its CU hook
-// (L4Span or a baseline), per-UE DRB bookkeeping and instrumentation.
+// (L4Span or a baseline) and per-UE RLC queue sampling. The gNB owns every
+// per-UE bearer fact (attachment, DRBs, the QFI->DRB map); callers reach
+// its data path and handlers through gnb().
 //
 // A cell runs on an externally owned event loop, so a scenario can place
 // one cell on its private loop (cell_scenario) or one cell per shard of a
@@ -9,6 +11,7 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -135,12 +138,6 @@ chan::channel_profile channel_by_name(const std::string& name, std::uint64_t var
 std::unique_ptr<chan::link_model> make_ue_link(const cell_spec& spec,
                                                std::uint64_t variant);
 
-bool is_l4s_cca(const std::string& cca);
-bool is_media_cca(const std::string& cca);
-bool is_quic_cca(const std::string& cca);
-// "quic-prague" -> "prague"; throws std::invalid_argument otherwise.
-std::string quic_cc_of(const std::string& cca);
-
 // One flow's endpoints: server-side sender and UE-side receiver (TCP, QUIC
 // or media, behind transport::sender/receiver), wired to scenario-supplied
 // send callbacks. Both endpoints live on the loop they were created with —
@@ -150,6 +147,8 @@ struct flow_endpoints {
     std::unique_ptr<transport::sender> snd;
     std::unique_ptr<transport::receiver> rcv;
     std::unique_ptr<media::frame_source> frames;  // interactive source (fps > 0)
+    // The codepoint the sender stamps on data: ECT(1) is the L4S class.
+    net::ecn data_ecn = net::ecn::not_ect;
 };
 
 // Builds the endpoints for `spec` and schedules their start/stop events on
@@ -201,9 +200,9 @@ protected:
     flow_table() = default;
     ~flow_table() = default;
 
-    // The shared half of add_flow: allocates the flow's QFI on `c` for UE
-    // `rnti`, maps it to the UE's per-class DRB, builds the endpoints on
-    // `loop` and records the flow under the next handle, flows_.size(),
+    // The shared half of add_flow: builds the endpoints on `loop`, adds the
+    // flow's QFI on `c` for UE `rnti` in the class its sender's codepoint
+    // names, and records the flow under the next handle, flows_.size(),
     // which the send callbacks may already capture. Returns that handle.
     int add_flow_rec(const flow_spec& spec, cell& c, ran::rnti_t rnti,
                      sim::event_loop& loop, std::function<void(net::packet)> dl_send,
@@ -227,20 +226,22 @@ public:
     // Adds a UE with the spec's channel; `variant` seeds the pedestrian /
     // vehicular alternation of the "mobile" profile.
     ran::rnti_t add_ue(std::uint64_t variant);
-    // RNTI of the i-th UE added (initial construction order).
-    ran::rnti_t rnti_of(std::size_t i) const { return ues_.at(i)->rnti; }
-    // Allocates the UE's next QFI.
-    ran::qfi_t alloc_qfi(ran::rnti_t ue);
-    // Routes `qfi` to the UE's per-class DRB; returns the DRB chosen.
-    ran::drb_id_t map_qos_flow(ran::rnti_t ue, ran::qfi_t qfi, bool l4s_class);
+    // RNTI of the i-th UE added, in construction order, handed-over UEs
+    // included: the gNB numbers RNTIs from 1 and never reuses one.
+    ran::rnti_t rnti_of(std::size_t i) const
+    {
+        if (i >= ues_.size()) throw std::out_of_range("cell: UE index out of range");
+        return static_cast<ran::rnti_t>(i + 1);
+    }
+    // Adds a QoS flow on the UE's L4S DRB (1) or classic DRB (2 with
+    // spec.separate_drbs_per_class, else 1) and returns its QFI.
+    ran::qfi_t add_qos_flow(ran::rnti_t ue, bool l4s_class);
 
     // Starts the slot clock and queue sampling. Call once.
     void start();
 
     // --- data path (core/UPF side) ---
     void deliver_downlink(net::packet pkt, ran::rnti_t ue, ran::qfi_t qfi);
-    void send_uplink(ran::rnti_t ue, net::packet pkt);
-    bool has_ue(ran::rnti_t ue) const;
 
     // --- X2/Xn handover + fault recovery ---
     // What happens to the CU hook's per-UE marking state at detach:
@@ -255,13 +256,6 @@ public:
                                        hook_transfer ht = hook_transfer::migrate);
     ran::rnti_t attach_ue(ran::ue_handover_context ctx);
 
-    // --- fault injection (radio outage / RLF) ---
-    void begin_radio_outage(ran::rnti_t ue) { gnb_->begin_outage(ue); }
-    void end_radio_outage(ran::rnti_t ue) { gnb_->end_outage(ue); }
-    void set_rlf_handler(ran::gnb::rlf_handler h);
-
-    void set_deliver_handler(ran::gnb::deliver_handler h);
-    void set_uplink_handler(ran::gnb::uplink_handler h);
     // Per-slot DCI log (a trace capture plugs in here). Fires on this
     // cell's loop thread: in a sharded topology record with jobs=1 or use
     // one capture per cell.
@@ -280,17 +274,14 @@ public:
     const stats::value_series& rlc_queue_series(ran::rnti_t ue) const;
 
 private:
+    // DRB 1's queue, sampled while the UE is attached.
     struct ue_rec {
-        ran::rnti_t rnti = 0;
-        ran::drb_id_t default_drb = 0;
-        ran::drb_id_t classic_drb = 0;
-        int next_qfi = 1;
-        bool attached = true;
         stats::sample_set rlc_samples;
         stats::value_series rlc_series{sim::from_ms(100)};
     };
 
-    ue_rec& rec(ran::rnti_t ue);
+    // Appends the record of `rnti`, which must be the gNB's next RNTI.
+    void track_ue(ran::rnti_t rnti);
     const ue_rec& rec(ran::rnti_t ue) const;
     void schedule_sampling();
 
@@ -304,10 +295,9 @@ private:
     std::unique_ptr<tc_ran> tcran_;
     ran::cu_hook* hook_ = nullptr;
 
-    std::vector<std::unique_ptr<ue_rec>> ues_;  // includes detached tombstones
-    // RNTIs are assigned densely from 1 by this cell's gNB and never
-    // reused, so the lookup is a vector indexed by rnti-1.
-    std::vector<ue_rec*> rnti_slots_;
+    // One record per RNTI the gNB ever assigned, detached UEs included:
+    // the record of RNTI r is ues_[r-1].
+    std::vector<std::unique_ptr<ue_rec>> ues_;
 
     bool started_ = false;
 };

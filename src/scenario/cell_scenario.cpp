@@ -61,7 +61,7 @@ cell_scenario::cell_scenario(cell_spec spec) : spec_(std::move(spec))
         cell_->attach_obs(tr, &hub_->shard_registry(0));
     }
 
-    cell_->set_deliver_handler(
+    cell_->gnb().set_deliver_handler(
         [this](ran::rnti_t, ran::drb_id_t, net::packet pkt, sim::tick) {
             const std::size_t f = pkt.flow_id;
             if (f >= flows_.size()) return;
@@ -100,7 +100,7 @@ cell_scenario::cell_scenario(cell_spec spec) : spec_(std::move(spec))
             else uplink_arrival(std::move(pkt));
         });
     }
-    cell_->set_uplink_handler([this](ran::rnti_t, net::packet pkt, sim::tick) {
+    cell_->gnb().set_uplink_handler([this](ran::rnti_t, net::packet pkt, sim::tick) {
         if (ul_bottleneck_) ul_bottleneck_->send(std::move(pkt));
         else if (impair_ul_) impair_ul_->send(std::move(pkt));
         else uplink_arrival(std::move(pkt));
@@ -193,7 +193,7 @@ int cell_scenario::add_flow(flow_spec fspec)
     };
     auto ul_send = [this, handle, rnti](net::packet pkt) {
         pkt.flow_id = handle;
-        cell_->send_uplink(rnti, std::move(pkt));
+        cell_->gnb().send_uplink(rnti, std::move(pkt));
     };
     return add_flow_rec(fspec, *cell_, rnti, loop_, std::move(dl_send),
                         std::move(ul_send), hub_ ? &hub_->shard_tracer(0) : nullptr);

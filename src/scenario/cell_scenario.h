@@ -62,8 +62,9 @@ public:
 
     // --- observability ---
     // The hub (nullptr unless cell_spec.obs.enabled). run() takes the final
-    // snapshot and writes the JSONL artifacts when obs.out_prefix is set;
-    // the in-memory views stay readable either way.
+    // snapshot and writes the JSONL artifacts when obs.out_prefix is set,
+    // throwing std::runtime_error naming a file it cannot write; the
+    // in-memory views stay readable either way.
     obs::hub* obs_hub() { return hub_.get(); }
 
 private:

@@ -136,7 +136,7 @@ topology::topology(topology_spec spec) : spec_(std::move(spec))
         scenario::cell* cp = cells_[static_cast<std::size_t>(c)].get();
         // Runs on cell c's shard; forwards to the flow's home shard. flows_
         // is immutable during the run, so the cross-thread read is safe.
-        cp->set_deliver_handler(
+        cp->gnb().set_deliver_handler(
             [this](ran::rnti_t, ran::drb_id_t, net::packet pkt, sim::tick now) {
                 const std::size_t f = pkt.flow_id;
                 if (f >= flows_.size()) return;
@@ -145,9 +145,9 @@ topology::topology(topology_spec spec) : spec_(std::move(spec))
                                   flows_[f]->ep.rcv->on_packet(pkt);
                               });
             });
-        cp->set_rlf_handler(
+        cp->gnb().set_rlf_handler(
             [this, c](ran::rnti_t rnti, sim::tick) { on_rlf(c, rnti); });
-        cp->set_uplink_handler([this](ran::rnti_t, net::packet pkt, sim::tick now) {
+        cp->gnb().set_uplink_handler([this](ran::rnti_t, net::packet pkt, sim::tick now) {
             const std::size_t f = pkt.flow_id;
             if (f >= flows_.size()) return;
             // Server-side return path: the home shard's uplink impairment
@@ -231,7 +231,8 @@ void topology::forward_downlink(net::packet pkt)
                       // flight (cannot happen while x2 >= core_hop, but
                       // stay safe): the packet is lost, like a late X2
                       // forward in a real deployment.
-                      if (c->has_ue(rnti)) c->deliver_downlink(std::move(pkt), rnti, qfi);
+                      if (c->gnb().has_ue(rnti))
+                          c->deliver_downlink(std::move(pkt), rnti, qfi);
                   });
 }
 
@@ -249,12 +250,12 @@ void topology::route_uplink(std::size_t flow, net::packet pkt)
         u.held_ul.push_back(std::move(pkt));  // UE stack holds until path switch
         return;
     }
-    scenario::cell* c = cells_[static_cast<std::size_t>(u.serving)].get();
+    ran::gnb* g = &cells_[static_cast<std::size_t>(u.serving)]->gnb();
     const ran::rnti_t rnti = u.rnti;
     const sim::tick now = shards_->loop(static_cast<std::size_t>(u.home)).now();
     shards_->post(static_cast<std::size_t>(u.serving), now + k_ue_stack_latency,
-                  [c, rnti, pkt = std::move(pkt)]() mutable {
-                      if (c->has_ue(rnti)) c->send_uplink(rnti, std::move(pkt));
+                  [g, rnti, pkt = std::move(pkt)]() mutable {
+                      if (g->has_ue(rnti)) g->send_uplink(rnti, std::move(pkt));
                   });
 }
 
@@ -415,12 +416,12 @@ void topology::inject_rlf(int ue, sim::tick duration)
     u.outage_until = now + duration;
     // The gNB observes the collapse one quantum later (the minimum
     // cross-shard latency); if RLF detection detaches the UE first, the
-    // end_radio_outage for the dead RNTI is a no-op.
+    // end_outage for the dead RNTI is a no-op.
     shards_->post(static_cast<std::size_t>(u.serving), now + q,
-                  [c, rnti] { c->begin_radio_outage(rnti); });
+                  [c, rnti] { c->gnb().begin_outage(rnti); });
     shards_->post(static_cast<std::size_t>(u.serving),
                   now + std::max(duration, 2 * q),
-                  [c, rnti] { c->end_radio_outage(rnti); });
+                  [c, rnti] { c->gnb().end_outage(rnti); });
 }
 
 void topology::inject_ho_failure(int ue, topo::ho_failure_mode mode)
@@ -581,7 +582,7 @@ void topology::begin_handover(int ue, int target)
                                                   target, src_cell, fail, mode] {
         // An RLF declared while the command was in flight already detached
         // the UE; the re-establishment path owns the recovery then.
-        if (!src->has_ue(rnti)) return;
+        if (!src->gnb().has_ue(rnti)) return;
         cell_rnti_ue_[static_cast<std::size_t>(src_cell)].erase(rnti);
         const bool lose_ctx = fail && mode == topo::ho_failure_mode::reestablish;
         auto ctx = src->detach_ue(rnti, lose_ctx

@@ -147,7 +147,8 @@ public:
     // The hub (nullptr unless spec.cell.obs.enabled): one tracer + registry
     // shard per cell, so per-shard buffers are single-writer and the merged
     // views are byte-identical for any `jobs`. run() takes the final
-    // snapshots and writes the JSONL artifacts when obs.out_prefix is set.
+    // snapshots and writes the JSONL artifacts when obs.out_prefix is set,
+    // throwing std::runtime_error naming a file it cannot write.
     obs::hub* obs_hub() { return hub_.get(); }
 
 private:

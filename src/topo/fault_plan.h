@@ -95,22 +95,13 @@ struct fault_plan_config {
     void validate(const std::string& where) const;
 };
 
-// Per-(class, lane) seed derivation, same splitmix64 finalizer family as
-// impairment_seed: every fault class and every UE/cell lane draws an
-// independent stream.
+// Per-(class, lane) seed (topo::derive_seed): every fault class and every
+// UE/cell lane draws an independent stream.
 inline std::uint64_t fault_seed(std::uint64_t base, fault_class cls,
                                 std::uint64_t lane)
 {
-    std::uint64_t x = base ^
-                      (0x9e3779b97f4a7c15ull *
-                       (k_num_fault_classes * (lane + 1) +
-                        static_cast<std::uint64_t>(cls) + 1));
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x | 1;
+    return derive_seed(base, k_num_fault_classes * (lane + 1) +
+                                 static_cast<std::uint64_t>(cls) + 1);
 }
 
 class fault_plan {

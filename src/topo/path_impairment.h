@@ -103,20 +103,26 @@ struct impairment_stats {
     std::uint64_t duplicated = 0;
 };
 
-// Deterministic per-stage seed derivation (splitmix64 finalizer): `lane`
-// distinguishes stages of one scenario (shard index, flow handle, ...),
-// `uplink` the direction, so every stage draws an independent stream.
-inline std::uint64_t impairment_seed(std::uint64_t base, std::uint64_t lane,
-                                     bool uplink)
+// Deterministic seed derivation: the splitmix64 finalizer over `base`
+// offset by the golden-ratio multiple of `stream`, forced odd. Distinct
+// `stream` values give independent RNG streams from one scenario seed.
+inline std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream)
 {
-    std::uint64_t x =
-        base ^ (0x9e3779b97f4a7c15ull * (2 * lane + (uplink ? 1 : 0) + 1));
+    std::uint64_t x = base ^ (0x9e3779b97f4a7c15ull * stream);
     x ^= x >> 30;
     x *= 0xbf58476d1ce4e5b9ull;
     x ^= x >> 27;
     x *= 0x94d049bb133111ebull;
     x ^= x >> 31;
     return x | 1;
+}
+
+// Per-stage seed: `lane` distinguishes stages of one scenario (shard
+// index, flow handle, ...), `uplink` the direction.
+inline std::uint64_t impairment_seed(std::uint64_t base, std::uint64_t lane,
+                                     bool uplink)
+{
+    return derive_seed(base, 2 * lane + (uplink ? 1 : 0) + 1);
 }
 
 class path_impairment {

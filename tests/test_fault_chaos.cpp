@@ -158,7 +158,7 @@ TEST(fault_chaos, handover_failure_rolls_back_to_source)
     EXPECT_EQ(topo.reestablishments(), 0u);
     for (int u = 0; u < topo.num_ues(); ++u) {
         EXPECT_EQ(topo.serving_cell(u), topo.home_cell(u));
-        EXPECT_TRUE(topo.cell_at(topo.serving_cell(u)).has_ue(topo.ue_rnti(u)));
+        EXPECT_TRUE(topo.cell_at(topo.serving_cell(u)).gnb().has_ue(topo.ue_rnti(u)));
     }
     // Rollback re-admits the exported context intact — forwarded SDUs come
     // back exactly once, so TCP sees no loss it must repair.
@@ -238,7 +238,7 @@ TEST(fault_chaos, cell_outage_evacuates_and_repatriates)
         EXPECT_FALSE(topo.cell_is_down(c)) << "cell " << c;
     // Every UE settled back at an up cell and kept its flow alive.
     for (int u = 0; u < topo.num_ues(); ++u)
-        EXPECT_TRUE(topo.cell_at(topo.serving_cell(u)).has_ue(topo.ue_rnti(u)));
+        EXPECT_TRUE(topo.cell_at(topo.serving_cell(u)).gnb().has_ue(topo.ue_rnti(u)));
     for (const int h : handles)
         EXPECT_GT(topo.delivered_bytes(h), 1u << 20);
     expect_consistent_attachment(topo);

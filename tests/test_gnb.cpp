@@ -196,3 +196,17 @@ TEST(gnb, qfi_map_survives_detach_and_attach)
     // A second handover exports the same map.
     EXPECT_EQ(dst.g->detach_ue(rnti).qfi_map, want);
 }
+
+TEST(gnb, qos_flow_allocation_continues_after_a_handover)
+{
+    test_rig src;
+    ASSERT_EQ(src.g->add_drb(1, {}), drb_id_t{2});
+    EXPECT_EQ(int{src.g->add_qos_flow(1, 2)}, 1);
+    EXPECT_EQ(int{src.g->add_qos_flow(1, 1)}, 2);
+    // The target allocates above the restored map instead of reusing QFI 1.
+    test_rig dst;
+    const rnti_t rnti = dst.g->attach_ue(src.g->detach_ue(1));
+    EXPECT_EQ(int{dst.g->add_qos_flow(rnti, 2)}, 3);
+    const std::vector<std::pair<qfi_t, drb_id_t>> want = {{1, 2}, {2, 1}, {3, 2}};
+    EXPECT_EQ(dst.g->detach_ue(rnti).qfi_map, want);
+}

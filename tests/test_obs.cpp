@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -239,3 +240,34 @@ TEST(ObsHub, InvariantNoteRecordsIncident)
 }
 
 }  // namespace
+
+TEST(ObsHub, UnwritableArtifactPathFailsTheRun)
+{
+    // An out_prefix inside a missing directory must fail run() with the
+    // path in the message, not finish quietly with no artifacts.
+    const std::string prefix = "no-such-obs-dir/p";
+    const auto expect_write_error = [&](auto&& run) {
+        try {
+            run();
+            ADD_FAILURE() << "run() reported no write failure";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(prefix + ".metrics.jsonl"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+
+    scenario::cell_spec cs;
+    cs.obs.enabled = true;
+    cs.obs.out_prefix = prefix;
+    scenario::cell_scenario s(cs);
+    s.add_flow(scenario::flow_spec{});
+    expect_write_error([&] { s.run(sim::from_ms(100)); });
+
+    scenario::topology_spec ts;
+    ts.num_cells = 1;
+    ts.cell = cs;
+    scenario::topology topo(ts);
+    topo.add_flow(scenario::flow_spec{});
+    expect_write_error([&] { topo.run(sim::from_ms(100)); });
+}

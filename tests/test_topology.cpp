@@ -339,8 +339,8 @@ TEST(topology, handover_preserves_inflight_rlc_sdus)
     EXPECT_EQ(topo.handovers_started(), 1u);
     EXPECT_EQ(topo.handovers_completed(), 1u);
     EXPECT_EQ(topo.serving_cell(0), 1);
-    EXPECT_FALSE(topo.cell_at(0).has_ue(1));  // detached from the source
-    EXPECT_TRUE(topo.cell_at(1).has_ue(topo.ue_rnti(0)));
+    EXPECT_FALSE(topo.cell_at(0).gnb().has_ue(1));  // detached from the source
+    EXPECT_TRUE(topo.cell_at(1).gnb().has_ue(topo.ue_rnti(0)));
     // Nothing the source admitted was lost end-to-end.
     EXPECT_EQ(topo.flow_retransmits(h), 0u);
     EXPECT_GT(topo.delivered_bytes(h), 2u << 20);
