@@ -8,6 +8,7 @@
 
 #include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
+#include "scenario/grid_runner.h"
 
 using namespace l4span;
 
@@ -41,7 +42,7 @@ outcome run(const std::string& chan, sim::tick coherence, bool short_circuit,
 
 }  // namespace
 
-int main()
+int run_bench(const scenario::bench_args&)
 {
     benchutil::header("Ablation 1: estimation window (tau_c) sweep",
                       "too-short windows are noisy, too-long windows straddle "
@@ -91,4 +92,9 @@ int main()
         t.print();
     }
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

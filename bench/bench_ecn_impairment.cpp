@@ -19,16 +19,11 @@
 // (family ecn_impairment): points fan out over scenario::grid_runner and
 // print in fixed grid order, byte-identical for any --jobs value.
 // --export-scenario PATH dumps the (possibly --quick) grid as JSON.
-#include "scenario/grid_runner.h"
 #include "scenario/scenario_run.h"
 
 using namespace l4span;
 
 int main(int argc, char** argv)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
-    const auto spec = scenario::builtin_scenario("ecn_impairment", args.quick);
-    if (!args.export_scenario.empty())
-        return scenario::write_scenario_file(args.export_scenario, spec);
-    return scenario::run_scenario(spec, args);
+    return scenario::builtin_bench_main(argc, argv, "ecn_impairment");
 }

@@ -9,6 +9,7 @@
 #include "aqm/dualpi2.h"
 #include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
+#include "scenario/grid_runner.h"
 #include "topo/wired_link.h"
 #include "transport/tcp.h"
 
@@ -115,10 +116,15 @@ void ran_case(bool with_l4span)
 
 }  // namespace
 
-int main()
+int run_bench(const scenario::bench_args&)
 {
     wired_l4s_router();
     ran_case(false);
     ran_case(true);
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

@@ -9,16 +9,11 @@
 // over scenario::grid_runner (--jobs N, default all cores) and print in
 // fixed grid order, so stdout is byte-identical for any worker count.
 // --export-scenario PATH dumps the (possibly --quick) grid as JSON.
-#include "scenario/grid_runner.h"
 #include "scenario/scenario_run.h"
 
 using namespace l4span;
 
 int main(int argc, char** argv)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
-    const auto spec = scenario::builtin_scenario("fig09", args.quick);
-    if (!args.export_scenario.empty())
-        return scenario::write_scenario_file(args.export_scenario, spec);
-    return scenario::run_scenario(spec, args);
+    return scenario::builtin_bench_main(argc, argv, "fig09");
 }

@@ -6,10 +6,11 @@
 
 #include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
+#include "scenario/grid_runner.h"
 
 using namespace l4span;
 
-int main()
+int run_bench(const scenario::bench_args&)
 {
     benchutil::header("Fig. 10: delay breakdown by scheduler",
                       "queuing dominates without L4Span; with L4Span the total "
@@ -70,4 +71,9 @@ int main()
     }
     t.print();
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

@@ -6,10 +6,11 @@
 
 #include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
+#include "scenario/grid_runner.h"
 
 using namespace l4span;
 
-int main()
+int run_bench(const scenario::bench_args&)
 {
     benchutil::header("Fig. 11: short-flow finish time vs long-flow rate",
                       "SLF finish time drops ~4x under L4Span; LLF keeps its rate");
@@ -50,4 +51,9 @@ int main()
     }
     t.print();
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

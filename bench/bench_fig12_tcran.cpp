@@ -5,10 +5,11 @@
 
 #include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
+#include "scenario/grid_runner.h"
 
 using namespace l4span;
 
-int main()
+int run_bench(const scenario::bench_args&)
 {
     benchutil::header("Fig. 12: L4Span vs TC-RAN",
                       "similar delay, but L4Span utilizes more of the cell "
@@ -44,4 +45,9 @@ int main()
     }
     t.print();
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

@@ -58,9 +58,8 @@ point_result run_cell(const grid_point& p, sim::tick duration)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run_bench(const scenario::bench_args& args)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
     benchutil::header("Fig. 13: SCReAM and UDP Prague with L4Span",
                       "RTT reductions: UDP Prague 76/38/45%, SCReAM 13/11/38% "
                       "(static/pedestrian/vehicular) at modest throughput cost");
@@ -120,4 +119,9 @@ int main(int argc, char** argv)
     t.print();
     summary.set("points", std::move(json_points));
     return benchutil::finish(args, summary);
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

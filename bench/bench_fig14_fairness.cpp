@@ -85,9 +85,8 @@ fairness_result run_case(const fairness_case& c, sim::tick duration)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run_bench(const scenario::bench_args& args)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
     benchutil::header("Fig. 14: fairness among staggered flows",
                       "equal shares in the fully-shared window; higher-RTT Prague "
                       "converges more slowly; CUBIC/BBRv2 coexist via MAC fairness");
@@ -135,4 +134,9 @@ int main(int argc, char** argv)
     }
     summary.set("points", std::move(json_points));
     return benchutil::finish(args, summary);
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

@@ -62,9 +62,8 @@ cdf_result run_cell(const grid_point& p, sim::tick duration)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run_bench(const scenario::bench_args& args)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
     benchutil::header("Fig. 17: RLC queue CDFs under L4Span",
                       "L4S queues stay in the ~10 SDU range; classic queues keep "
                       "a working buffer and rarely reach zero");
@@ -111,4 +110,9 @@ int main(int argc, char** argv)
     t.print();
     summary.set("points", std::move(json_points));
     return benchutil::finish(args, summary);
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

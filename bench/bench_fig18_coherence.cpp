@@ -60,9 +60,8 @@ struct cell_source {
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run_bench(const scenario::bench_args& args)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
     benchutil::header("Fig. 18: channel stable period (MCS deviation <= 5)",
                       ">90% of stable periods exceed the estimation window (12.45 ms)");
     // FDD 600 MHz: Doppler ~4x lower than the 2.5 GHz TDD cell at the same
@@ -111,4 +110,9 @@ int main(int argc, char** argv)
     t.print();
     summary.set("points", std::move(json_points));
     return benchutil::finish(args, summary);
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

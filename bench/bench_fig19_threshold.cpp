@@ -55,9 +55,8 @@ sweep_result run_point(const sweep_point& p)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run_bench(const scenario::bench_args& args)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
     benchutil::header("Fig. 19: sojourn threshold tau_s sweep",
                       "throughput saturates around tau_s = 10 ms while RTT keeps "
                       "growing with the threshold");
@@ -98,4 +97,9 @@ int main(int argc, char** argv)
     t.print();
     summary.set("points", std::move(json_points));
     return benchutil::finish(args, summary);
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

@@ -7,10 +7,11 @@
 
 #include "scenario/bench_format.h"
 #include "scenario/cell_scenario.h"
+#include "scenario/grid_runner.h"
 
 using namespace l4span;
 
-int main()
+int run_bench(const scenario::bench_args&)
 {
     benchutil::header("Fig. 20: egress-rate estimation error",
                       "error distribution centered near 0% in all channels");
@@ -96,4 +97,9 @@ int main()
     }
     t.print();
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

@@ -137,9 +137,8 @@ double bench_ran_feedback(int n_ops)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run_bench(const scenario::bench_args& args)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
     const int n_handler = args.quick ? 50'000 : 500'000;
 
     benchutil::header("Fig. 21: per-packet processing time",
@@ -166,4 +165,9 @@ int main(int argc, char** argv)
     handlers.print();
     summary.set("l4span_handlers_ns", std::move(handlers_json));
     return benchutil::finish(args, summary);
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

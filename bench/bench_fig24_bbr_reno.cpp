@@ -6,16 +6,11 @@
 // run exactly as bench_fig09_tcp_grid runs "fig09": stdout is
 // byte-identical for any --jobs value and to `l4span_run` on the exported
 // file (--export-scenario PATH).
-#include "scenario/grid_runner.h"
 #include "scenario/scenario_run.h"
 
 using namespace l4span;
 
 int main(int argc, char** argv)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
-    const auto spec = scenario::builtin_scenario("fig24", args.quick);
-    if (!args.export_scenario.empty())
-        return scenario::write_scenario_file(args.export_scenario, spec);
-    return scenario::run_scenario(spec, args);
+    return scenario::builtin_bench_main(argc, argv, "fig24");
 }

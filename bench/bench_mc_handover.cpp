@@ -86,9 +86,8 @@ point_result run_point(const grid_point& p, sim::tick duration, int jobs)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run_bench(const scenario::bench_args& args)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
     benchutil::header("Multi-cell handover grid (topology layer)",
                       "L4Span marking state survives X2/Xn handover: per-UE "
                       "OWD stays in the ~10 ms regime under mobility; up to "
@@ -140,4 +139,9 @@ int main(int argc, char** argv)
     t.print();
     summary.set("points", std::move(json_points));
     return benchutil::finish(args, summary);
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

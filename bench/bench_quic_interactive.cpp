@@ -104,9 +104,8 @@ point_result run_point(const grid_point& p, sim::tick duration, bool impair_noop
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run_bench(const scenario::bench_args& args)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
     benchutil::header("Interactive media over QUIC vs TCP (frame OWD / stalls)",
                       "scenario-diversity item: Prague-over-QUIC frame-paced "
                       "traffic with L4Span marking, background load and "
@@ -166,4 +165,9 @@ int main(int argc, char** argv)
     t.print();
     summary.set("points", std::move(json_points));
     return benchutil::finish(args, summary);
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

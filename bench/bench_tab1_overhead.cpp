@@ -88,9 +88,8 @@ paired_cost measure_paired(bool busy, int ues, double sim_seconds, int reps)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run_bench(const scenario::bench_args& args)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
     const int ues = args.quick ? 16 : 64;
     const double sim_seconds = args.quick ? 2.0 : 5.0;
 
@@ -146,4 +145,9 @@ int main(int argc, char** argv)
     std::puts("\nNote: with L4Span the busy RAN holds far less queued state — the");
     std::puts("shallow RLC queues are themselves a memory win for the DU.");
     return benchutil::finish(args, summary);
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

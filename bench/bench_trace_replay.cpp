@@ -126,9 +126,8 @@ point_result run_point(const trace_source& trace, const std::string& cca,
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run_bench(const scenario::bench_args& args)
 {
-    const auto args = scenario::parse_bench_args(argc, argv);
     benchutil::header("Trace-driven channel replay grid (DCI trace x CCA)",
                       "Fig. 18 methodology end-to-end: L4Span marking driven by "
                       "replayed NR-Scope-style DCI traces, OWD staying in the "
@@ -176,4 +175,9 @@ int main(int argc, char** argv)
     t.print();
     summary.set("points", std::move(json_points));
     return benchutil::finish(args, summary);
+}
+
+int main(int argc, char** argv)
+{
+    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
 }

@@ -13,7 +13,7 @@
 // scenario document (the grid axes it lists), not of the run. --export
 // re-exports the parsed document (normalized key order/format) and exits.
 #include <cstdio>
-#include <exception>
+#include <cstdlib>
 #include <string>
 
 #include "scenario/grid_runner.h"
@@ -79,16 +79,13 @@ int main(int argc, char** argv)
     if (args.jobs < 0) args.jobs = 1;
     if (scenario_path.empty()) usage(argv[0], "missing scenario file");
 
-    try {
+    // A scenario_error, or a run-time failure such as an unwritable --obs-out
+    // artifact, ends in one "error:" line and exit status 1.
+    return scenario::run_guarded([&] {
         const auto spec = scenario::load_scenario_file(scenario_path);
         args.quick = spec.quick;  // summary "quick" tag follows the document
         if (!export_path.empty())
             return scenario::write_scenario_file(export_path, spec);
         return scenario::run_scenario(spec, args);
-    } catch (const std::exception& e) {
-        // A scenario_error, or a run-time failure such as an unwritable
-        // --obs-out artifact.
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-    }
+    });
 }

@@ -1,6 +1,7 @@
 #include "chan/trace_channel.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "chan/fading.h"
@@ -17,6 +18,17 @@ sim::tick trace_data::effective_duration() const
                               ? records[1].timestamp - records.front().timestamp
                               : sim::from_us(500);
     return last + (gap > 0 ? gap : sim::from_us(500));
+}
+
+double trace_data::mean_snr_db() const
+{
+    double mean = mean_snr_.value;
+    if (!std::isnan(mean)) return mean;
+    double sum = 0.0;
+    for (const auto& r : records) sum += min_snr_db(r.mcs);
+    mean = sum / static_cast<double>(records.size());
+    mean_snr_.value = mean;
+    return mean;
 }
 
 void validate_trace_config(const trace_config& cfg)
@@ -45,10 +57,8 @@ void validate_trace_config(const trace_config& cfg)
 trace_channel::trace_channel(trace_config cfg) : cfg_(std::move(cfg))
 {
     validate_trace_config(cfg_);
-    double snr_sum = 0.0;
-    for (const auto& r : cfg_.data->records) snr_sum += min_snr_db(r.mcs);
     profile_.name = cfg_.data->name;
-    profile_.mean_snr_db = snr_sum / static_cast<double>(cfg_.data->records.size());
+    profile_.mean_snr_db = cfg_.data->mean_snr_db();
     profile_.sigma_db = 0.0;
     profile_.coherence = 0;
 }

@@ -12,7 +12,9 @@
 // through ran::ue_handover_context and keeps answering from global time.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,6 +45,28 @@ struct trace_data {
     // Loop period actually used: `duration` when set, else the last
     // timestamp plus the first inter-record gap (one slot for a recording).
     sim::tick effective_duration() const;
+
+    // Mean of min_snr_db(mcs) over the records, summed in record order: the
+    // profile mean of every channel replaying this trace. Derived on the
+    // first call and kept, so UEs that share a trace share one sum; the
+    // records must not change after that. A copy derives its own.
+    double mean_snr_db() const;
+
+private:
+    // Atomic: a trace is shared read-only across grid workers, and two of
+    // them may derive the mean at once (both store the same value).
+    struct memo {
+        memo() = default;
+        memo(const memo&) noexcept {}
+        memo& operator=(const memo&) noexcept
+        {
+            value = k_unset;
+            return *this;
+        }
+        static constexpr double k_unset = std::numeric_limits<double>::quiet_NaN();
+        mutable std::atomic<double> value{k_unset};
+    };
+    memo mean_snr_;
 };
 
 // Per-UE replay knobs (cell_spec.ue_traces).

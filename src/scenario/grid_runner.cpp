@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 namespace l4span::scenario {
@@ -97,6 +98,37 @@ bench_args parse_bench_args(int argc, char** argv)
     }
     if (args.jobs < 0) args.jobs = 1;
     return args;
+}
+
+void reject_obs_out(const bench_args& args, const std::string& run)
+{
+    if (!args.obs_out.empty())
+        throw std::invalid_argument("--obs-out: " + run +
+                                    " runs no obs:: telemetry hub, so it would write "
+                                    "nothing (drop the flag)");
+}
+
+int run_guarded(const std::function<int()>& body)
+{
+    try {
+        return body();
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 1;
+    }
+}
+
+int bench_main(int argc, char** argv, obs_wiring obs,
+               const std::function<int(const bench_args&)>& body)
+{
+    const bench_args args = parse_bench_args(argc, argv);
+    return run_guarded([&] {
+        if (obs == obs_wiring::none) {
+            const std::string exe = argv[0];
+            reject_obs_out(args, exe.substr(exe.find_last_of('/') + 1));
+        }
+        return body(args);
+    });
 }
 
 }  // namespace l4span::scenario

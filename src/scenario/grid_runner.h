@@ -85,4 +85,20 @@ struct bench_args {
 // exit(2) so a typo can't silently run the full multi-minute grid.
 bench_args parse_bench_args(int argc, char** argv);
 
+// Throws std::invalid_argument naming --obs-out when it was given to `run`,
+// which starts no obs:: hub and so would silently write nothing.
+void reject_obs_out(const bench_args& args, const std::string& run);
+
+// Runs `body` and returns its exit status; a std::exception escaping it
+// prints "error: <what>" on stderr and returns 1 instead of aborting.
+int run_guarded(const std::function<int()>& body);
+
+// Whether a bench hands --obs-out on to the obs:: hub of what it runs.
+enum class obs_wiring { none, wired };
+
+// The whole of a bench main: parses the bench flags, rejects --obs-out
+// when `obs` is obs_wiring::none, and runs `body` under run_guarded.
+int bench_main(int argc, char** argv, obs_wiring obs,
+               const std::function<int(const bench_args&)>& body);
+
 }  // namespace l4span::scenario

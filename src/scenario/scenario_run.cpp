@@ -163,6 +163,7 @@ int run_tcp_grid(const scenario_spec& spec, const bench_args& args,
 int run_shared_drb(const scenario_spec& spec, const bench_args& args,
                    stats::json* summary_out)
 {
+    reject_obs_out(args, "the shared_drb family");
     const shared_drb_family& fam = spec.shared_drb;
     benchutil::header(spec.title.c_str(), spec.paper_ref.c_str());
 
@@ -235,6 +236,7 @@ int run_shared_drb(const scenario_spec& spec, const bench_args& args,
 int run_ecn_impairment(const scenario_spec& spec, const bench_args& args,
                        stats::json* summary_out)
 {
+    reject_obs_out(args, "the ecn_impairment family");
     const ecn_impairment_family& fam = spec.ecn_impairment;
     benchutil::header(spec.title.c_str(), spec.paper_ref.c_str());
 
@@ -768,6 +770,16 @@ int run_scenario(const scenario_spec& spec, const bench_args& args,
         return run_fault_chaos(spec, args, summary_out);
     if (spec.family == "cell_flows") return run_cell_flows(spec, args, summary_out);
     throw scenario_error("run_scenario: unknown family \"" + spec.family + "\"");
+}
+
+int builtin_bench_main(int argc, char** argv, const std::string& name)
+{
+    return bench_main(argc, argv, obs_wiring::wired, [&](const bench_args& args) {
+        const scenario_spec spec = builtin_scenario(name, args.quick);
+        if (!args.export_scenario.empty())
+            return write_scenario_file(args.export_scenario, spec);
+        return run_scenario(spec, args);
+    });
 }
 
 }  // namespace l4span::scenario

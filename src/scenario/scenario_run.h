@@ -2,7 +2,7 @@
 // printing the exact banner/table/stderr output of the bench binary the
 // family grew out of and emitting the same stats::json summary. The five
 // representative benches (fig09, fig24, fig16, ecn_impairment,
-// fault_chaos) are thin wrappers over builtin_scenario() + run_scenario(),
+// fault_chaos) are one-line mains over builtin_bench_main(),
 // so a bench, the same scenario exported to JSON and re-run through
 // `l4span_run`, and the conformance tests all print through ONE code path —
 // byte-identity for any --jobs value holds by construction and is pinned
@@ -32,5 +32,9 @@ scenario_spec builtin_scenario(const std::string& name, bool quick);
 // --json was requested but could not be written).
 int run_scenario(const scenario_spec& spec, const bench_args& args,
                  stats::json* summary_out = nullptr);
+
+// The main of a bench that is the builtin scenario `name`: runs it, or
+// writes it to --export-scenario's PATH, through bench_main.
+int builtin_bench_main(int argc, char** argv, const std::string& name);
 
 }  // namespace l4span::scenario

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -202,6 +203,23 @@ TEST(scenario_spec, unknown_family_lists_valid_ones)
 TEST(scenario_spec, builtin_unknown_name_throws)
 {
     EXPECT_THROW(builtin_scenario("fig99", false), scenario_error);
+}
+
+// The families that start no obs:: hub turn --obs-out away by name before
+// running anything, instead of silently writing nothing.
+TEST(scenario_spec, families_without_telemetry_reject_obs_out)
+{
+    bench_args args;
+    args.obs_out = "obs/p";
+    for (const char* name : {"fig16", "ecn_impairment"}) {
+        try {
+            run_scenario(builtin_scenario(name, true), args);
+            ADD_FAILURE() << name << " accepted --obs-out";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("--obs-out"), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // Every committed scenario file is in export form already: loading and

@@ -9,6 +9,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "chan/fading.h"
@@ -174,6 +176,18 @@ TEST(trace_channel, unknown_trace_path_names_path_and_formats)
     EXPECT_NE(msg.find("gen_traces.py"), std::string::npos) << msg;
 }
 
+TEST(trace_channel, unreadable_trace_path_names_path_and_reason)
+{
+    // A directory opens but cannot be read: the error says so, instead of
+    // parsing whatever a failed read left behind.
+    const std::string dir = std::string(L4SPAN_SOURCE_ROOT) + "/traces";
+    const std::string msg = thrown_message([&] { load_trace_file(dir); });
+    EXPECT_NE(msg.find("\"" + dir + "\""), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::make_error_code(std::errc::is_a_directory).message()),
+              std::string::npos)
+        << msg;
+}
+
 TEST(trace_channel, cell_requires_trace_assignments)
 {
     sim::event_loop loop;
@@ -218,6 +232,33 @@ TEST(trace_channel, committed_example_traces_load_and_replay)
         EXPECT_GE(distinct_lo, 0) << file;
         EXPECT_GT(distinct_hi, distinct_lo) << file;  // real capacity variation
     }
+}
+
+// The profile mean SNR is a per-trace value: the mean of min_snr_db(mcs) over
+// the records in record order, bit-identical for every channel replaying
+// the trace, also when the channels are built on several threads at once.
+TEST(trace_channel, profile_mean_snr_is_one_per_trace_value)
+{
+    const auto t = load_trace_file(std::string(L4SPAN_SOURCE_ROOT) +
+                                   "/traces/nr_scope_tdd2500_driving.csv");
+    double sum = 0.0;
+    for (const auto& r : t->records) sum += min_snr_db(r.mcs);
+    const double want = sum / static_cast<double>(t->records.size());
+
+    trace_config cfg;
+    cfg.data = t;
+    std::vector<double> got(8, 0.0);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        threads.emplace_back(
+            [&got, &cfg, i] { got[i] = trace_channel(cfg).profile().mean_snr_db; });
+    for (auto& th : threads) th.join();
+    for (const double g : got) EXPECT_EQ(g, want);
+
+    // A copy derives its own mean, from its own records.
+    auto copy = std::make_shared<trace_data>(*t);
+    copy->records.resize(1);
+    EXPECT_EQ(copy->mean_snr_db(), min_snr_db(copy->records[0].mcs));
 }
 
 // --- record → replay bit-identity -------------------------------------------
