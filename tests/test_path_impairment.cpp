@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "media/frame_source.h"
 #include "scenario/cell_scenario.h"
 #include "scenario/topology.h"
 #include "topo/cross_traffic.h"
@@ -459,6 +460,47 @@ TEST(impairment_scenario, forced_noop_stage_preserves_cell_scenario_results)
     };
     EXPECT_EQ(run_cell(false), run_cell(true))
         << "an installed-but-all-off stage must be behavior-preserving";
+
+    // The same property across a 2-cell topology: a frame-paced QUIC flow
+    // and a bulk TCP flow, with the QUIC UE handed over out and back.
+    auto run_topology = [](bool mount_noop) {
+        scenario::topology_spec spec;
+        spec.num_cells = 2;
+        spec.ues_per_cell = 1;
+        spec.cell.cu = scenario::cu_mode::l4span;
+        spec.cell.channel = "mobile";
+        spec.cell.seed = 61;
+        spec.cell.impair_dl.force_stage = mount_noop;
+        spec.cell.impair_ul.force_stage = mount_noop;
+        spec.jobs = 1;
+        scenario::topology topo(spec);
+        scenario::flow_spec game;
+        game.cca = "quic-prague";
+        game.ue = 0;
+        game.fps = 60.0;
+        game.frame_bitrate_bps = 8e6;
+        game.frame_deadline_ms = 50.0;
+        scenario::flow_spec bulk;
+        bulk.cca = "cubic";
+        bulk.ue = 1;
+        const std::vector<int> hs{topo.add_flow(game), topo.add_flow(bulk)};
+        topo.schedule_handover(sim::from_ms(500), 0, 1);
+        topo.schedule_handover(sim::from_ms(1000), 0, 0);
+        topo.run(sim::from_ms(1500));
+        EXPECT_EQ(topo.handovers_completed(), 2u);
+        std::vector<double> out;
+        for (int h : hs) {
+            out.push_back(static_cast<double>(topo.delivered_bytes(h)));
+            out.push_back(static_cast<double>(topo.flow_retransmits(h)));
+            for (double v : topo.owd_ms(h).raw()) out.push_back(v);
+        }
+        const media::frame_source* fr = topo.frame_stats(hs[0]);
+        out.push_back(static_cast<double>(fr->frames_completed()));
+        for (double v : fr->frame_owd_ms().raw()) out.push_back(v);
+        return out;
+    };
+    EXPECT_EQ(run_topology(false), run_topology(true))
+        << "an all-off stage must not change a topology's per-flow results";
 }
 
 TEST(impairment_scenario, cell_scenario_validates_spec_fields)
