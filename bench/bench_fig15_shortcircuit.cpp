@@ -44,5 +44,5 @@ int run_bench(const scenario::bench_args&)
 
 int main(int argc, char** argv)
 {
-    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
+    return scenario::bench_main(argc, argv, 0, run_bench);
 }

@@ -49,7 +49,7 @@ struct point_result {
     double background_mbps = 0.0;
 };
 
-point_result run_point(const grid_point& p, sim::tick duration, bool impair_noop)
+point_result run_point(const grid_point& p, sim::tick duration)
 {
     scenario::topology_spec spec;
     spec.num_cells = 2;
@@ -57,9 +57,6 @@ point_result run_point(const grid_point& p, sim::tick duration, bool impair_noop
     spec.cell.cu = scenario::cu_mode::l4span;
     spec.cell.channel = "mobile";
     spec.cell.seed = 61;
-    // Pass-through fast-path check: all-off stages must not change results.
-    spec.cell.impair_dl.force_stage = impair_noop;
-    spec.cell.impair_ul.force_stage = impair_noop;
     spec.jobs = 1;  // grid-level parallelism only: points stay byte-identical
     scenario::topology topo(spec);
 
@@ -126,7 +123,7 @@ int run_bench(const scenario::bench_args& args)
     std::fprintf(stderr, "quic_interactive: %zu points over %d worker(s)\n",
                  points.size(), pool.jobs());
     const auto results = pool.map(points.size(), [&](std::size_t i) {
-        return run_point(points[i], duration, args.impair_noop);
+        return run_point(points[i], duration);
     });
 
     auto summary = stats::json::object();
@@ -169,5 +166,5 @@ int run_bench(const scenario::bench_args& args)
 
 int main(int argc, char** argv)
 {
-    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
+    return scenario::bench_main(argc, argv, scenario::grid_flags, run_bench);
 }

@@ -149,5 +149,5 @@ int run_bench(const scenario::bench_args& args)
 
 int main(int argc, char** argv)
 {
-    return scenario::bench_main(argc, argv, scenario::obs_wiring::none, run_bench);
+    return scenario::bench_main(argc, argv, scenario::grid_flags, run_bench);
 }

@@ -7,7 +7,8 @@
 #   usage: scripts/run_benches.sh [--jobs N] [--quick] [--obs] [build-dir] [outdir]
 #
 #   --jobs N   worker threads for the grid benches (default: all cores,
-#              also settable via L4SPAN_BENCH_JOBS; 1 = historical serial run)
+#              or L4SPAN_BENCH_JOBS when set, passed on as --jobs;
+#              1 = historical serial run)
 #   --quick    tiny grid slices (the CI perf-smoke configuration)
 #   --obs      run bench_fault_chaos with the obs:: telemetry hub enabled:
 #              metric snapshots, trace dumps and flight-recorder incident
@@ -64,8 +65,9 @@ if [ ! -d "$build_dir" ]; then
     exit 1
 fi
 
-# Benches that understand --jobs/--quick/--json (grid_runner- or
-# topology-sharded).
+# Benches that read --quick and --json (grid_runner- or topology-sharded).
+# The binaries check this list themselves: a bench that does not read a flag
+# it is given exits 1 naming it, so a wrong entry fails the run.
 grid_benches="bench_ecn_impairment bench_fault_chaos bench_fig09_tcp_grid \
 bench_fig13_video bench_fig14_fairness bench_fig16_shared_drb \
 bench_fig17_queue_cdf bench_fig18_coherence bench_fig19_threshold \

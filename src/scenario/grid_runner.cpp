@@ -2,21 +2,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 namespace l4span::scenario {
 
 int default_jobs()
 {
-    if (const char* env = std::getenv("L4SPAN_BENCH_JOBS")) {
-        const int v = std::atoi(env);
-        if (v > 0) return v;
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -55,57 +54,90 @@ void grid_runner::run_indexed(std::size_t n, const std::function<void(std::size_
     if (first_error) std::rethrow_exception(first_error);
 }
 
-bench_args parse_bench_args(int argc, char** argv)
+namespace {
+
+struct flag_info {
+    bench_flag flag;
+    std::string_view name;
+    const char* value;              // in the usage line
+    std::string bench_args::*dest;  // nullptr for the --quick switch
+};
+
+constexpr flag_info k_flags[] = {
+    {flag_quick, "--quick", "", nullptr},
+    {flag_json, "--json", " PATH", &bench_args::json_path},
+    {flag_trace_dir, "--trace-dir", " DIR", &bench_args::trace_dir},
+    {flag_obs_out, "--obs-out", " PREFIX", &bench_args::obs_out},
+    {flag_export_scenario, "--export-scenario", " PATH", &bench_args::export_scenario},
+};
+
+[[noreturn]] void refuse(const flag_info& f, const std::string& driver)
 {
+    throw std::invalid_argument(std::string(f.name) + ": " + driver + " does not read it");
+}
+
+// Whether `a` is the flag `name`, alone or as "name=VALUE".
+bool spells(std::string_view a, std::string_view name)
+{
+    return a.starts_with(name) && (a.size() == name.size() || a[name.size()] == '=');
+}
+
+}  // namespace
+
+bench_args parse_bench_args(int argc, char** argv, flag_set reads,
+                            std::string* positional)
+{
+    const std::string exe = argv[0];
+    const std::string driver = exe.substr(exe.find_last_of('/') + 1);
+    const auto bad = [&](const std::string& why) {
+        std::string line = "usage: " + driver + (positional ? " SCENARIO.json" : "");
+        line += " [--jobs N]";
+        for (const flag_info& f : k_flags)
+            if (reads & f.flag) line += " [" + std::string(f.name) + f.value + "]";
+        std::fprintf(stderr, "%s\n%s\n", line.c_str(), why.c_str());
+        std::exit(2);
+    };
     bench_args args;
     for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--jobs" && i + 1 < argc) {
-            args.jobs = std::atoi(argv[++i]);
-        } else if (a.rfind("--jobs=", 0) == 0) {
-            args.jobs = std::atoi(a.c_str() + 7);
-        } else if (a.rfind("-j", 0) == 0 && a.size() > 2) {
-            args.jobs = std::atoi(a.c_str() + 2);
-        } else if (a == "--quick") {
-            args.quick = true;
-        } else if (a == "--json" && i + 1 < argc) {
-            args.json_path = argv[++i];
-        } else if (a.rfind("--json=", 0) == 0) {
-            args.json_path = a.substr(7);
-        } else if (a == "--trace-dir" && i + 1 < argc) {
-            args.trace_dir = argv[++i];
-        } else if (a.rfind("--trace-dir=", 0) == 0) {
-            args.trace_dir = a.substr(12);
-        } else if (a == "--impair-noop") {
-            args.impair_noop = true;
-        } else if (a == "--obs-out" && i + 1 < argc) {
-            args.obs_out = argv[++i];
-        } else if (a.rfind("--obs-out=", 0) == 0) {
-            args.obs_out = a.substr(10);
-        } else if (a == "--export-scenario" && i + 1 < argc) {
-            args.export_scenario = argv[++i];
-        } else if (a.rfind("--export-scenario=", 0) == 0) {
-            args.export_scenario = a.substr(18);
+        const std::string_view a = argv[i];
+        // The value of the flag `a` spells: after its '=', else the next
+        // argument.
+        const auto value = [&]() -> std::string {
+            if (const auto eq = a.find('='); eq != std::string_view::npos)
+                return std::string(a.substr(eq + 1));
+            if (i + 1 >= argc) bad("missing value for " + std::string(a));
+            return argv[++i];
+        };
+        const auto known = std::find_if(std::begin(k_flags), std::end(k_flags),
+                                        [&](const flag_info& f) {
+                                            return f.dest ? spells(a, f.name) : a == f.name;
+                                        });
+        if (spells(a, "--jobs") || (a.starts_with("-j") && a.size() > 2)) {
+            const std::string n = a.starts_with("--") ? value() : std::string(a.substr(2));
+            const auto [end, ec] = std::from_chars(n.data(), n.data() + n.size(), args.jobs);
+            if (ec != std::errc{} || end != n.data() + n.size() || args.jobs < 0)
+                bad("--jobs takes a whole number >= 0, not \"" + n + "\"");
+        } else if (known != std::end(k_flags)) {
+            if (!(reads & known->flag)) refuse(*known, driver);
+            if (known->dest)
+                args.*known->dest = value();
+            else
+                args.quick = true;
+        } else if (positional && !a.starts_with("-")) {
+            if (!positional->empty()) bad("more than one scenario file: " + std::string(a));
+            *positional = a;
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--jobs N] [--quick] [--json PATH] "
-                         "[--trace-dir DIR] [--impair-noop] "
-                         "[--obs-out PREFIX] [--export-scenario PATH]\n"
-                         "unknown argument: %s\n",
-                         argv[0], a.c_str());
-            std::exit(2);
+            bad("unknown argument: " + std::string(a));
         }
     }
-    if (args.jobs < 0) args.jobs = 1;
+    if (positional && positional->empty()) bad("missing scenario file");
     return args;
 }
 
-void reject_obs_out(const bench_args& args, const std::string& run)
+void refuse_unread(const bench_args& args, flag_set reads, const std::string& driver)
 {
-    if (!args.obs_out.empty())
-        throw std::invalid_argument("--obs-out: " + run +
-                                    " runs no obs:: telemetry hub, so it would write "
-                                    "nothing (drop the flag)");
+    for (const flag_info& f : k_flags)
+        if (f.dest && !(args.*f.dest).empty() && !(reads & f.flag)) refuse(f, driver);
 }
 
 int run_guarded(const std::function<int()>& body)
@@ -118,17 +150,10 @@ int run_guarded(const std::function<int()>& body)
     }
 }
 
-int bench_main(int argc, char** argv, obs_wiring obs,
+int bench_main(int argc, char** argv, flag_set reads,
                const std::function<int(const bench_args&)>& body)
 {
-    const bench_args args = parse_bench_args(argc, argv);
-    return run_guarded([&] {
-        if (obs == obs_wiring::none) {
-            const std::string exe = argv[0];
-            reject_obs_out(args, exe.substr(exe.find_last_of('/') + 1));
-        }
-        return body(args);
-    });
+    return run_guarded([&] { return body(parse_bench_args(argc, argv, reads)); });
 }
 
 }  // namespace l4span::scenario

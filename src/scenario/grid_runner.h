@@ -22,8 +22,7 @@
 
 namespace l4span::scenario {
 
-// Worker count resolution: explicit value if > 0, else the
-// L4SPAN_BENCH_JOBS environment variable, else hardware concurrency.
+// Worker count: hardware concurrency, or 1 when it is unknown.
 int default_jobs();
 
 class grid_runner {
@@ -55,50 +54,59 @@ private:
     int jobs_;
 };
 
-// --- shared CLI plumbing for the figure benches -----------------------------
+// --- one command line for every driver -------------------------------------
 
 struct bench_args {
     int jobs = 0;            // --jobs N (0 → default_jobs())
     bool quick = false;      // --quick: tiny grid slice for CI perf-smoke
     std::string json_path;   // --json PATH: write the per-figure summary
     std::string trace_dir;   // --trace-dir DIR: replay DCI traces from DIR
-                             // (bench_trace_replay, bench_fig18_coherence)
-    bool impair_noop = false;  // --impair-noop: mount all-off impairment
-                               // stages (pass-through fast-path check; the
-                               // output must be byte-identical)
     std::string obs_out;     // --obs-out PREFIX: enable the obs:: telemetry
                              // hub and write PREFIX.metrics.jsonl /
                              // PREFIX.trace.jsonl (+ incident dumps). The
                              // simulated results must be byte-identical
                              // with or without it.
-    std::string export_scenario;  // --export-scenario PATH: benches with a
-                                  // scenario_spec-backed grid dump their
-                                  // compiled-in scenario (after --quick
+    std::string export_scenario;  // --export-scenario PATH: write the
+                                  // scenario document (after --quick
                                   // slicing) to PATH as JSON and exit
-                                  // instead of running. Other benches
-                                  // accept and ignore the flag.
+                                  // instead of running.
 };
 
-// Parses --jobs N / --quick / --json PATH / --trace-dir DIR /
-// --impair-noop / --obs-out PREFIX (and -jN).
-// Unknown arguments are rejected with a usage message on stderr and
-// exit(2) so a typo can't silently run the full multi-minute grid.
-bench_args parse_bench_args(int argc, char** argv);
+// The flags a driver reads, as a mask of bench_flag bits (0: none). --jobs
+// is not one: it is an upper bound on worker threads, so every driver
+// accepts it and a serial one honours it.
+enum bench_flag : unsigned {
+    flag_quick = 1u << 0,
+    flag_json = 1u << 1,
+    flag_trace_dir = 1u << 2,
+    flag_obs_out = 1u << 3,
+    flag_export_scenario = 1u << 4,
+};
+using flag_set = unsigned;
+constexpr flag_set grid_flags = flag_quick | flag_json;  // what a grid bench reads
 
-// Throws std::invalid_argument naming --obs-out when it was given to `run`,
-// which starts no obs:: hub and so would silently write nothing.
-void reject_obs_out(const bench_args& args, const std::string& run);
+// Parses --jobs N (or --jobs=N, -jN) and the flags in `reads`, given as
+// --flag VALUE or --flag=VALUE. Any other flag above throws
+// std::invalid_argument "--<flag>: <driver> does not read it", the driver
+// named after argv[0]. A malformed --jobs, an unknown argument or a missing
+// value prints the usage line on stderr and exit(2)s, so a typo can't
+// silently run the full multi-minute grid. With `positional` set the driver
+// takes exactly one SCENARIO.json argument, stored there.
+bench_args parse_bench_args(int argc, char** argv, flag_set reads,
+                            std::string* positional = nullptr);
+
+// Throws as parse_bench_args does for the first flag with a value that
+// `args` carries and `reads` lacks. (--quick is not checked: a scenario
+// document carries its own slice.)
+void refuse_unread(const bench_args& args, flag_set reads, const std::string& driver);
 
 // Runs `body` and returns its exit status; a std::exception escaping it
 // prints "error: <what>" on stderr and returns 1 instead of aborting.
 int run_guarded(const std::function<int()>& body);
 
-// Whether a bench hands --obs-out on to the obs:: hub of what it runs.
-enum class obs_wiring { none, wired };
-
-// The whole of a bench main: parses the bench flags, rejects --obs-out
-// when `obs` is obs_wiring::none, and runs `body` under run_guarded.
-int bench_main(int argc, char** argv, obs_wiring obs,
+// The whole of a bench main: parses the flags in `reads` and runs `body`
+// on them under run_guarded.
+int bench_main(int argc, char** argv, flag_set reads,
                const std::function<int(const bench_args&)>& body);
 
 }  // namespace l4span::scenario

@@ -26,8 +26,7 @@ struct tcp_grid_result {
 tcp_grid_result run_tcp_grid_cell(const std::string& cca, int ues, std::size_t queue,
                                   double wired_owd_ms, const std::string& chan,
                                   bool l4span_on, std::uint64_t seed_base,
-                                  sim::tick duration, bool impair_noop,
-                                  const std::string& obs_out)
+                                  sim::tick duration, const std::string& obs_out)
 {
     cell_spec cell;
     cell.num_ues = ues;
@@ -35,10 +34,6 @@ tcp_grid_result run_tcp_grid_cell(const std::string& cca, int ues, std::size_t q
     cell.rlc_queue_sdus = queue;
     cell.cu = l4span_on ? cu_mode::l4span : cu_mode::none;
     cell.seed = seed_base + static_cast<std::uint64_t>(ues) + queue;
-    // Pass-through fast-path check: mount all-off impairment stages on both
-    // directions; results must be byte-identical to running without them.
-    cell.impair_dl.force_stage = impair_noop;
-    cell.impair_ul.force_stage = impair_noop;
     // Telemetry hub: the measured results must not change, only the JSONL
     // artifacts appear (CI diffs a traced run against an untraced one).
     if (!obs_out.empty()) {
@@ -101,7 +96,7 @@ int run_tcp_grid(const scenario_spec& spec, const bench_args& args,
                                     : args.obs_out + "-" + std::to_string(i);
         const grid_point& p = points[i];
         return run_tcp_grid_cell(p.cca, p.ues, p.queue, p.rtt, p.chan, p.on,
-                                 fam.seed_base, spec.duration, args.impair_noop, obs);
+                                 fam.seed_base, spec.duration, obs);
     });
 
     auto summary = stats::json::object();
@@ -163,7 +158,6 @@ int run_tcp_grid(const scenario_spec& spec, const bench_args& args,
 int run_shared_drb(const scenario_spec& spec, const bench_args& args,
                    stats::json* summary_out)
 {
-    reject_obs_out(args, "the shared_drb family");
     const shared_drb_family& fam = spec.shared_drb;
     benchutil::header(spec.title.c_str(), spec.paper_ref.c_str());
 
@@ -236,7 +230,6 @@ int run_shared_drb(const scenario_spec& spec, const bench_args& args,
 int run_ecn_impairment(const scenario_spec& spec, const bench_args& args,
                        stats::json* summary_out)
 {
-    reject_obs_out(args, "the ecn_impairment family");
     const ecn_impairment_family& fam = spec.ecn_impairment;
     benchutil::header(spec.title.c_str(), spec.paper_ref.c_str());
 
@@ -528,8 +521,6 @@ int run_cell_flows(const scenario_spec& spec, const bench_args& args,
     const auto results = pool.map(fam.seeds.size(), [&](std::size_t i) {
         cell_spec cell = fam.cell;
         cell.seed = fam.seeds[i];
-        cell.impair_dl.force_stage = cell.impair_dl.force_stage || args.impair_noop;
-        cell.impair_ul.force_stage = cell.impair_ul.force_stage || args.impair_noop;
         if (!args.obs_out.empty()) {
             cell.obs.enabled = true;
             cell.obs.out_prefix = args.obs_out + "-" + std::to_string(i);
@@ -588,6 +579,13 @@ int run_cell_flows(const scenario_spec& spec, const bench_args& args,
     summary.set("points", std::move(json_points));
     if (summary_out) *summary_out = summary;
     return benchutil::finish(args, summary);
+}
+
+// The bench flags a family reads besides --jobs.
+flag_set family_reads(const std::string& family)
+{
+    if (family == "shared_drb" || family == "ecn_impairment") return flag_json;
+    return flag_json | flag_obs_out;
 }
 
 }  // namespace
@@ -762,6 +760,7 @@ int run_scenario(const scenario_spec& spec, const bench_args& args,
                  stats::json* summary_out)
 {
     spec.validate();
+    refuse_unread(args, family_reads(spec.family), "the " + spec.family + " family");
     if (spec.family == "tcp_grid") return run_tcp_grid(spec, args, summary_out);
     if (spec.family == "shared_drb") return run_shared_drb(spec, args, summary_out);
     if (spec.family == "ecn_impairment")
@@ -774,7 +773,9 @@ int run_scenario(const scenario_spec& spec, const bench_args& args,
 
 int builtin_bench_main(int argc, char** argv, const std::string& name)
 {
-    return bench_main(argc, argv, obs_wiring::wired, [&](const bench_args& args) {
+    const flag_set reads = family_reads(builtin_scenario(name, false).family) |
+                           flag_quick | flag_export_scenario;
+    return bench_main(argc, argv, reads, [&](const bench_args& args) {
         const scenario_spec spec = builtin_scenario(name, args.quick);
         if (!args.export_scenario.empty())
             return write_scenario_file(args.export_scenario, spec);

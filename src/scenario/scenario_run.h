@@ -26,7 +26,9 @@ scenario_spec builtin_scenario(const std::string& name, bool quick);
 
 // Runs the scenario: banner, grid fan-out (grid_runner with args.jobs),
 // fixed-order tables on stdout, JSON summary behind args.json_path.
-// args.quick is ignored — quickness is part of the document. When
+// args.quick is ignored — quickness is part of the document. A flag in
+// `args` the family does not read (--json: all; --obs-out: tcp_grid,
+// fault_chaos, cell_flows) throws before anything runs. When
 // `summary_out` is non-null it receives the summary (tests capture it
 // without temp files). Returns the process exit status (0, or 1 when
 // --json was requested but could not be written).
@@ -34,7 +36,8 @@ int run_scenario(const scenario_spec& spec, const bench_args& args,
                  stats::json* summary_out = nullptr);
 
 // The main of a bench that is the builtin scenario `name`: runs it, or
-// writes it to --export-scenario's PATH, through bench_main.
+// writes it to --export-scenario's PATH, through bench_main. It reads
+// --quick, --export-scenario and the flags its family reads.
 int builtin_bench_main(int argc, char** argv, const std::string& name);
 
 }  // namespace l4span::scenario

@@ -59,8 +59,7 @@ struct impairment_spec {
     // Duplication probability.
     double duplicate = 0.0;
     // Install the stage even when every knob is off — exercises the
-    // pass-through fast path (used by the --impair-noop bench mode and the
-    // behavior-preservation tests).
+    // pass-through fast path (the behavior-preservation tests set it).
     bool force_stage = false;
 
     // Per-flow policies, five-tuple-hashed: when non-empty, each packet is
